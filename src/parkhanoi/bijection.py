@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .enumeration import (
+    DEFAULT_SCAN_MAX_N,
     enumerate_pf_displacement,
     generate_displacement_one,
     lah_count,
@@ -25,8 +26,6 @@ from .enumeration import (
 from .errors import BudgetExceededError, ValidationError
 from .hanoi import HanoiState, as_state, enumerate_ideal_states, ideal_witness
 from .parking import PreferenceVector, as_preference_vector, doubled_preference
-
-DEFAULT_SCAN_MAX_N = 7
 
 
 def th_to_pf(state: HanoiState | Sequence[int]) -> PreferenceVector:

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -31,10 +30,9 @@ from .errors import BudgetExceededError, DomainError, ValidationError
 from .hanoi import (
     DEFAULT_STATE_BUDGET,
     HanoiState,
-    apply_move,
+    dot_ideal_tree,
     enumerate_ideal_states,
     is_ideal_state,
-    legal_moves,
     optimal_strategies_through_ideal,
     shortest_strategy,
 )
@@ -63,14 +61,22 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = _env(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}") from exc
+def _budget(flag_value: int | None, flag: str, env_name: str, default: int) -> int:
+    """A budget from its flag, else its environment variable, else the default."""
+    if flag_value is not None:
+        value, source = flag_value, flag
+    else:
+        raw = _env(env_name)
+        if raw is None:
+            return default
+        source = ENV_PREFIX + env_name
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValidationError(f"{source} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise ValidationError(f"{source} must be a positive integer, got {value}")
+    return value
 
 
 def _config_from(args: argparse.Namespace) -> CliConfig:
@@ -79,14 +85,10 @@ def _config_from(args: argparse.Namespace) -> CliConfig:
         raise ValidationError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
     return CliConfig(
         output_format=fmt,
-        budget_states=(
-            args.budget_states
-            if args.budget_states is not None
-            else _env_int("BUDGET_STATES", DEFAULT_STATE_BUDGET)
+        budget_states=_budget(
+            args.budget_states, "--budget-states", "BUDGET_STATES", DEFAULT_STATE_BUDGET
         ),
-        budget_n=(
-            args.budget_n if args.budget_n is not None else _env_int("BUDGET_N", DEFAULT_SCAN_MAX_N)
-        ),
+        budget_n=_budget(args.budget_n, "--budget-n", "BUDGET_N", DEFAULT_SCAN_MAX_N),
     )
 
 
@@ -111,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help=f"cap on state-graph searches (default {DEFAULT_STATE_BUDGET}; "
-        f"env {ENV_PREFIX}BUDGET_STATES)",
+        help="cap on the peg-symmetry orbits one state-graph search may visit "
+        f"(default {DEFAULT_STATE_BUDGET}, enough for n <= 8; env {ENV_PREFIX}BUDGET_STATES)",
     )
     parser.add_argument(
         "--budget-n",
@@ -382,56 +384,6 @@ def cmd_count(args: argparse.Namespace, config: CliConfig) -> int:
             bf = "-" if r.brute_force is None else str(r.brute_force)
             print(f"{r.statistic:<22}  {r.closed_form:>11}  {bf:>11}  {r.match}")
     return EXIT_FAILURE if any(r.match is False for r in reports) else EXIT_OK
-
-
-def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
-    """DOT digraph of every minimal move sequence from the start to an
-    ideal state.
-
-    Each ideal state sits n+1 moves from the start, so the walks of
-    length n+1 that end on an ideal state are exactly the shortest ones;
-    repeated states along different branches appear as separate nodes,
-    making the output a tree whose leaves are the ideal states.
-    """
-    target = n + 1
-    if (n + 1) ** (n + 1) > budget_states:
-        raise BudgetExceededError(
-            f"the state space for n={n} has {(n + 1) ** (n + 1)} states, over the "
-            f"budget of {budget_states}"
-        )
-    ideals = set(enumerate_ideal_states(n))
-    # distance to the nearest ideal state, bounded by the tree depth
-    dist_ideal: dict[HanoiState, int] = {s: 0 for s in ideals}
-    queue = deque(ideals)
-    while queue:
-        state = queue.popleft()
-        if dist_ideal[state] >= target:
-            continue
-        for move in legal_moves(state):
-            neighbor = apply_move(state, move)
-            if neighbor not in dist_ideal:
-                dist_ideal[neighbor] = dist_ideal[state] + 1
-                queue.append(neighbor)
-    lines = ["digraph ideal_tree {", "  node [shape=box];"]
-    node_count = 0
-
-    def emit(state: HanoiState, depth: int) -> int:
-        nonlocal node_count
-        node_id = node_count
-        node_count += 1
-        style = ", style=bold" if depth == target else ""
-        lines.append(f'  s{node_id} [label="{state.to_text()}"{style}];')
-        if depth < target:
-            for move in sorted(legal_moves(state)):
-                child = apply_move(state, move)
-                if dist_ideal.get(child) == target - depth - 1:
-                    child_id = emit(child, depth + 1)
-                    lines.append(f"  s{node_id} -> s{child_id};")
-        return node_id
-
-    emit(HanoiState((0,) * (n + 1)), 0)
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

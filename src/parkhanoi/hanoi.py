@@ -12,9 +12,11 @@ destination peg is the only empty peg, and the remaining n disks cover
 the interior pegs with exactly one interior peg holding two disks.  Any
 two distinct disks among 0..n-1 may form that doubled pair, disk 0
 included.  Ideal states are the doorway of every minimum-length win:
-the search helpers below verify exhaustively, within a state budget,
-that the minimum win takes 2n+3 moves and that every minimum win sits
-in an ideal state right after move n+1.
+the searches below verify exhaustively that the minimum win takes 2n+3
+moves and that every minimum win sits in an ideal state right after
+move n+1.  They run one breadth-first search kernel over the orbits of
+the interior-peg relabelling, which fixes the start and the end, and
+cap the orbits it visits by a budget.
 
 States, moves and strategies are immutable values; all functions are
 pure, and the searches are deterministic.
@@ -23,14 +25,16 @@ pure, and the searches are deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import perm
 from typing import Any
 
 from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError
 
-#: Default cap on exhaustive state-graph searches: the whole space for n = 6.
+#: Default cap on the orbits one state-graph search visits: enough for n <= 8,
+#: whose search visits 562,540 orbits.
 DEFAULT_STATE_BUDGET = 7**7
 
 
@@ -333,96 +337,108 @@ def _ideal_states_sorted(n: int) -> list[HanoiState]:
 
 # --- state-graph search ------------------------------------------------------
 #
-# The whole cube {0..n}^(n+1) is the state space: every vector is a valid
-# position because stacking order is implicit.  States pack into integers
-# (base n+1, disk 0 least significant) so breadth-first search can use
-# flat arrays instead of hashing tuples.
+# Every vector of the cube {0..n}^(n+1) is a valid position, because
+# stacking order is implicit, and the move graph connects them all.
+# Relabelling the interior pegs 1..n-1 maps moves to moves and fixes both
+# the start and the end, so one breadth-first search kernel, ``_search``,
+# visits one canonical vector per orbit of that relabelling: interior
+# pegs renumbered 1, 2, ... in the order their smallest disk appears.
+# For n = 7 that is 94,783 orbits instead of 16.7 M vectors.
+#
+# - Path counts are orbit totals: C[O] sums the shortest-path counts of
+#   the vectors in O.  Expanding a representative u adds C[orbit(u)] once
+#   per move of u into each next-layer orbit; this is exact because every
+#   vector of orbit(u) has the same moves up to relabelling.
+# - Swapping pegs 0 and n maps the start to the end and commutes with the
+#   relabelling, so dist_end(v) = dist_start(swap v) and one search from
+#   the start serves both ends.
+# - Moves onto the empty interior pegs of a vector all land in one orbit,
+#   so the kernel makes one of them, weighted by how many there are.
 
 
-def _pack(vec: Sequence[int], base: int) -> int:
-    idx = 0
-    for p in reversed(vec):
-        idx = idx * base + p
-    return idx
+def _canonical(vec: Sequence[int], n: int, swap: bool = False) -> tuple[int, ...]:
+    """Orbit representative: interior pegs renumbered by first appearance.
 
-
-def _unpack(idx: int, base: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        idx, p = divmod(idx, base)
-        out.append(p)
-    return tuple(out)
-
-
-def _neighbor_vectors(vec: tuple[int, ...], base: int) -> list[tuple[int, ...]]:
-    tops: dict[int, int] = {}
-    for disk, peg in enumerate(vec):
-        if peg not in tops:
-            tops[peg] = disk
-    out = []
-    for peg, disk in tops.items():
-        for to_peg in range(base):
-            if to_peg != peg:
-                target = tops.get(to_peg)
-                if target is None or target > disk:
-                    w = list(vec)
-                    w[disk] = to_peg
-                    out.append(tuple(w))
-    return out
-
-
-def _space_size(n: int, budget_states: int) -> int:
-    size = (n + 1) ** (n + 1)
-    if size > budget_states:
-        raise BudgetExceededError(
-            f"the state space for n={n} has {size} states, over the budget of "
-            f"{budget_states}; raise the budget to search it"
-        )
-    return size
-
-
-def _bfs(
-    n: int, source: tuple[int, ...], budget_states: int, with_counts: bool = False
-) -> tuple[list[int], list[int] | None]:
-    """Distances (and optionally shortest-path counts) from the source.
-
-    Layered search: counts[v] accumulates over all predecessors of v in
-    the previous layer, so each layer's counts are final before the next
-    one reads them.
+    With ``swap`` the source and destination pegs also trade places.
     """
-    size = _space_size(n, budget_states)
-    base = n + 1
-    dist = [-1] * size
-    counts: list[int] | None = [0] * size if with_counts else None
-    src = _pack(source, base)
-    dist[src] = 0
-    if counts is not None:
-        counts[src] = 1
-    frontier: list[tuple[tuple[int, ...], int]] = [(source, src)]
+    label = {0: n, n: 0} if swap else {0: 0, n: n}
+    for peg in dict.fromkeys(vec):
+        if peg not in label:
+            label[peg] = len(label) - 1
+    return tuple(map(label.__getitem__, vec))
+
+
+def _orbit_size(rep: tuple[int, ...], n: int) -> int:
+    """Number of vectors in the orbit: ways to place its k interior pegs."""
+    return perm(n - 1, len(set(rep) - {0, n}))
+
+
+def _successors(
+    vec: tuple[int, ...], n: int, targets: Sequence[int]
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """(disk, from, to, next vector) for each move onto ``targets``, in
+    (disk, from, to) order when the targets are sorted."""
+    tops = dict(zip(reversed(vec), range(n, -1, -1)))  # smallest disk wins
+    for disk in sorted(tops.values()):
+        from_peg = vec[disk]
+        for to_peg in targets:
+            top = tops.get(to_peg)
+            if to_peg != from_peg and (top is None or top > disk):
+                yield disk, from_peg, to_peg, vec[:disk] + (to_peg,) + vec[disk + 1 :]
+
+
+def _search(
+    n: int, sources: Iterable[tuple[int, ...]], budget_states: int, depth: int | None = None
+) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+    """Layered breadth-first search over orbits from canonical ``sources``.
+
+    Returns the distance of every visited orbit and its orbit-total count
+    of shortest paths from the sources, each source counting 1.  Stops
+    after ``depth`` layers when given, and raises BudgetExceededError as
+    soon as more than ``budget_states`` orbits are visited.
+    """
+    dist = dict.fromkeys(sources, 0)
+    count = dict.fromkeys(dist, 1)
+    # the relabelling of each order in which pegs first appear, built once
+    labels: dict[tuple[int, ...], Callable[[int], int]] = {}
+    frontier = list(dist)
     level = 0
-    while frontier:
+    while frontier and level != depth:
         level += 1
-        nxt: list[tuple[tuple[int, ...], int]] = []
-        for vec, u in frontier:
-            for w in _neighbor_vectors(vec, base):
-                v = _pack(w, base)
-                if dist[v] < 0:
-                    dist[v] = level
-                    nxt.append((w, v))
-                if counts is not None and dist[v] == level:
-                    counts[v] += counts[u]
+        nxt = []
+        for u in frontier:
+            k = len(set(u) - {0, n})  # interior pegs 1..k are in use
+            spare = k + 1 if k < n - 1 else None  # stands for all n-1-k empty ones
+            paths_u = count[u]
+            for _, _, to_peg, w in _successors(u, n, (*range(min(k + 2, n)), n)):
+                key = tuple(dict.fromkeys(w))
+                label = labels.get(key)
+                if label is None:
+                    label = labels[key] = dict(zip(key, _canonical(key, n))).__getitem__
+                w = tuple(map(label, w))
+                paths = paths_u * (n - 1 - k) if to_peg == spare else paths_u
+                seen = dist.get(w)
+                if seen is None:
+                    dist[w] = level
+                    count[w] = paths
+                    nxt.append(w)
+                    if len(dist) > budget_states:
+                        raise BudgetExceededError(
+                            f"the search for n={n} visits more than {budget_states} "
+                            f"peg-symmetry orbits, over the budget; raise the budget "
+                            f"to search it"
+                        )
+                elif seen == level:
+                    count[w] += paths
         frontier = nxt
-    return dist, counts
+    return dist, count
 
 
 def shortest_win_length(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> int:
     """Minimum number of moves to win, by breadth-first search."""
     _check_n(n)
-    base = n + 1
-    dist, _ = _bfs(n, (0,) * base, budget_states)
-    length = dist[_pack((n,) * base, base)]
-    assert length >= 0, "the state graph is connected; the ending state is reachable"
-    return length
+    dist, _ = _search(n, [(0,) * (n + 1)], budget_states)
+    return dist[(n,) * (n + 1)]
 
 
 def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Strategy:
@@ -432,29 +448,57 @@ def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> S
     smallest (disk, from, to) move that stays on a shortest path to the end.
     """
     _check_n(n)
-    base = n + 1
-    dist_to_end, _ = _bfs(n, (n,) * base, budget_states)
-    state = starting_state(n)
-    states = [state]
+    dist, _ = _search(n, [(0,) * (n + 1)], budget_states)
+    vec = (0,) * (n + 1)
+    states = [HanoiState(vec)]
     moves: list[HanoiMove] = []
-    remaining = dist_to_end[_pack(state.pegs, base)]
+    remaining = dist[_canonical(vec, n, swap=True)]
     while remaining > 0:
-        step = min(
-            m
-            for m in legal_moves(state)
-            if dist_to_end[_pack(_moved(state.pegs, m), base)] == remaining - 1
-        )
-        state = apply_move(state, step)
-        moves.append(step)
-        states.append(state)
         remaining -= 1
+        disk, from_peg, to_peg, vec = next(
+            step
+            for step in _successors(vec, n, range(n + 1))
+            if dist[_canonical(step[3], n, swap=True)] == remaining
+        )
+        moves.append(HanoiMove(disk, from_peg, to_peg))
+        states.append(HanoiState(vec))
     return Strategy(tuple(moves), tuple(states))
 
 
-def _moved(vec: tuple[int, ...], move: HanoiMove) -> tuple[int, ...]:
-    w = list(vec)
-    w[move.disk] = move.to_peg
-    return tuple(w)
+def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
+    """DOT digraph of every minimal move sequence from the start to an
+    ideal state.
+
+    Each ideal state sits n+1 moves from the start, so the walks of
+    length n+1 that end on an ideal state are exactly the shortest ones;
+    repeated states along different branches appear as separate nodes,
+    making the output a tree whose leaves are the ideal states.  The
+    distance to the ideal set comes from a search from the ideal orbits,
+    valid because relabelling interior pegs keeps a state ideal.
+    """
+    _check_n(n)
+    target = n + 1
+    ideals = {_canonical(s.pegs, n) for s in enumerate_ideal_states(n)}
+    dist_ideal, _ = _search(n, ideals, budget_states, depth=target)
+    lines = ["digraph ideal_tree {", "  node [shape=box];"]
+    node_count = 0
+
+    def emit(vec: tuple[int, ...], depth: int) -> int:
+        nonlocal node_count
+        node_id = node_count
+        node_count += 1
+        style = ", style=bold" if depth == target else ""
+        label = ",".join(map(str, vec))
+        lines.append(f'  s{node_id} [label="{label}"{style}];')
+        if depth < target:
+            for *_, child in _successors(vec, n, range(n + 1)):
+                if dist_ideal.get(_canonical(child, n)) == target - depth - 1:
+                    lines.append(f"  s{node_id} -> s{emit(child, depth + 1)};")
+        return node_id
+
+    emit((0,) * (n + 1), 0)
+    lines.append("}")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -500,31 +544,33 @@ def optimal_strategies_through_ideal(
 ) -> IdealLayerReport:
     """Verify, not assume, how minimum-length wins relate to ideal states.
 
-    Runs breadth-first search with shortest-path counting from both the
-    start and the end.  On a shortest win the state after k moves has
-    distance k from the start and L-k from the end, so flag (c) reduces
-    to: given (a), (b) and L = 2n+3, the on-path layer at k = n+1 equals
-    the ideal set exactly.
+    One breadth-first search with orbit-total shortest-path counts gives
+    the distances from the start, and through the 0/n peg swap those to
+    the end.  On a shortest win the state after k moves has distance k
+    from the start and L-k from the end, so flag (c) reduces to: given
+    (a), (b) and L = 2n+3, the on-path layer at k = n+1 equals the ideal
+    set exactly.  Both sets are unions of orbits, so comparing orbits
+    suffices.  A mid-layer orbit O carries C(O)*C(swap O)/|O| shortest wins.
     """
     _check_n(n)
-    base = n + 1
-    dist_s, cnt_s = _bfs(n, (0,) * base, budget_states, with_counts=True)
-    dist_e, cnt_e = _bfs(n, (n,) * base, budget_states, with_counts=True)
-    assert cnt_s is not None and cnt_e is not None
-    min_win = dist_s[_pack((n,) * base, base)]
-    ideal_idx = {_pack(s.pegs, base) for s in enumerate_ideal_states(n)}
-    flag_a = all(dist_s[v] == n + 1 for v in ideal_idx)
-    flag_b = all(dist_e[v] == n + 2 for v in ideal_idx)
+    dist, count = _search(n, [(0,) * (n + 1)], budget_states)
+    min_win = dist[(n,) * (n + 1)]
+    ideal_states = list(enumerate_ideal_states(n))
+    ideal = {_canonical(s.pegs, n) for s in ideal_states}
+    flag_a = all(dist[o] == n + 1 for o in ideal)
+    flag_b = all(dist[_canonical(o, n, swap=True)] == n + 2 for o in ideal)
     mid_layer = {
-        v
-        for v in range(len(dist_s))
-        if dist_s[v] == n + 1 and dist_e[v] == min_win - (n + 1)
+        o
+        for o, d in dist.items()
+        if d == n + 1 and dist[_canonical(o, n, swap=True)] == min_win - (n + 1)
     }
-    path_count = sum(cnt_s[v] * cnt_e[v] for v in mid_layer)
-    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal_idx
+    path_count = sum(
+        count[o] * count[_canonical(o, n, swap=True)] // _orbit_size(o, n) for o in mid_layer
+    )
+    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal
     return IdealLayerReport(
         n=n,
-        ideal_count=len(ideal_idx),
+        ideal_count=len(ideal_states),
         min_win_moves=min_win,
         ideal_at_level=n + 1,
         shortest_path_count=path_count,

@@ -5,6 +5,7 @@ without touching the package internals, so agreement means something.
 """
 
 from itertools import product
+from math import comb
 
 
 def park_naive(prefs):
@@ -68,3 +69,57 @@ def ideal_set_brute(n):
         for vec in product(range(n + 1), repeat=n + 1)
         if ideal_by_definition(vec)
     }
+
+
+def neighbors_naive(vec):
+    """Every vector one legal move away: a peg's smallest disk moves onto
+    an empty peg or onto a peg whose smallest disk is larger."""
+    n = len(vec) - 1
+    tops = {}
+    for disk, peg in enumerate(vec):
+        tops.setdefault(peg, disk)
+    return [
+        vec[:disk] + (to,) + vec[disk + 1 :]
+        for peg, disk in tops.items()
+        for to in range(n + 1)
+        if to != peg and tops.get(to, n + 1) > disk
+    ]
+
+
+def shortest_wins_full_cube(n):
+    """(minimum win length, number of minimum wins), by layered BFS over
+    every vector of {0..n}^(n+1) with no symmetry reduction."""
+    start, end = (0,) * (n + 1), (n,) * (n + 1)
+    dist, ways = {start: 0}, {start: 1}
+    frontier = [start]
+    while end not in dist:
+        nxt = []
+        for vec in frontier:
+            for w in neighbors_naive(vec):
+                if w not in dist:
+                    dist[w] = dist[vec] + 1
+                    ways[w] = 0
+                    nxt.append(w)
+                if dist[w] == dist[vec] + 1:
+                    ways[w] += ways[vec]
+        frontier = nxt
+    return dist[end], ways[end]
+
+
+def stirling2(m, k):
+    """Stirling number of the second kind: partitions of m items into k blocks."""
+    if m == 0 or k == 0:
+        return int(m == k)
+    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+
+
+def orbit_count(n):
+    """Orbits of {0..n}^(n+1) under relabelling the interior pegs 1..n-1.
+
+    Choose the m disks on interior pegs, put each other disk on peg 0 or
+    peg n, and split the m disks into at most n-1 unlabelled pegs.
+    """
+    return sum(
+        comb(n + 1, m) * 2 ** (n + 1 - m) * sum(stirling2(m, k) for k in range(n))
+        for m in range(n + 2)
+    )

@@ -209,6 +209,39 @@ def test_state_budget_flag(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag", ["--budget-states", "--budget-n"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_budget_flag_is_rejected(capsys, flag, value):
+    code, out, err = run(capsys, flag, value, "count", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("name", ["PARKHANOI_BUDGET_STATES", "PARKHANOI_BUDGET_N"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_budget_env_is_rejected(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "count", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and name in err
+
+
+def test_budget_flag_overrides_bad_env(capsys, monkeypatch):
+    monkeypatch.setenv("PARKHANOI_BUDGET_STATES", "0")
+    code, _, _ = run(capsys, "--budget-states", "200", "solve", "--n", "3")
+    assert code == 0
+
+
+def test_verify_n6_fits_default_budget(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "6")
+    assert code == 0
+    layer = json.loads(out)["ideal_layer"]
+    assert layer["min_win_moves"] == 15
+    assert layer["shortest_paths"] == 68880
+
+
 def test_json_outputs_parse(capsys):
     for argv in (
         ["park", "1,2,2"],

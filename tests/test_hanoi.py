@@ -15,6 +15,7 @@ from parkhanoi import (
     Strategy,
     ValidationError,
     apply_move,
+    dot_ideal_tree,
     ending_state,
     enumerate_ideal_states,
     ideal_witness,
@@ -27,7 +28,12 @@ from parkhanoi import (
     starting_state,
 )
 
-from oracles import ideal_by_definition, ideal_set_brute
+from oracles import (
+    ideal_by_definition,
+    ideal_set_brute,
+    orbit_count,
+    shortest_wins_full_cube,
+)
 
 IDEAL_N3 = [
     (1, 1, 2, 0),
@@ -189,6 +195,37 @@ def test_shortest_win_length(n, expected):
 def test_search_budget():
     with pytest.raises(BudgetExceededError):
         shortest_win_length(4, budget_states=100)
+    with pytest.raises(BudgetExceededError):
+        optimal_strategies_through_ideal(4, budget_states=100)
+    with pytest.raises(BudgetExceededError):
+        shortest_strategy(4, budget_states=100)
+    with pytest.raises(BudgetExceededError):
+        dot_ideal_tree(4, budget_states=100)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_budget_counts_visited_orbits(n):
+    # the search fits a budget of exactly the orbit count and not one less,
+    # and that count is the closed form for orbits of the interior relabelling
+    orbits = orbit_count(n)
+    assert shortest_win_length(n, budget_states=orbits) == 2 * n + 3
+    with pytest.raises(BudgetExceededError):
+        shortest_win_length(n, budget_states=orbits - 1)
+
+
+def test_orbit_closed_form_values():
+    assert [orbit_count(n) for n in range(2, 9)] == [
+        27, 136, 653, 3235, 16971, 94783, 562540
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_search_matches_full_cube_oracle(n):
+    min_win, wins = shortest_wins_full_cube(n)
+    assert shortest_win_length(n) == min_win
+    report = optimal_strategies_through_ideal(n)
+    assert (report.min_win_moves, report.shortest_path_count) == (min_win, wins)
+    assert len(shortest_strategy(n).moves) == min_win
 
 
 def test_whole_cube_is_reachable_and_valid():
