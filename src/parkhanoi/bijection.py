@@ -23,7 +23,7 @@ from .enumeration import (
     generate_displacement_one,
     lah_count,
 )
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, check_int
 from .hanoi import HanoiState, as_state, enumerate_ideal_states, ideal_witness
 from .parking import PreferenceVector, as_preference_vector, doubled_preference
 
@@ -140,8 +140,7 @@ def verify_bijection(
     scan of [n]^n; both round trips are the identity; and both sides
     have n!(n-1)/2 elements.  n = 1 passes vacuously on empty sets.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
+    check_int(n, "n", 1)
     if check_image and n > budget_n:
         raise BudgetExceededError(
             f"the image check scans {n}^{n} vectors, over the budget n <= {budget_n}; "

@@ -7,7 +7,9 @@ Defaults can be overridden per invocation with flags, or globally with
 environment variables: PARKHANOI_FORMAT, PARKHANOI_BUDGET_STATES and
 PARKHANOI_BUDGET_N (flags win over the environment).  Output format is
 json unless noted; ``enumerate`` defaults to lines, one comma-separated
-vector per line, with the count on standard error.
+vector per line, with the count on standard error.  ``solve --dot``
+always prints DOT; when a format is set, by flag or environment, it
+notes on standard error that the format is ignored.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Any
 
 from .bijection import make_record, pf_to_th, verify_bijection
 from .enumeration import (
@@ -26,7 +28,7 @@ from .enumeration import (
     enumerate_pf,
     enumerate_pf_displacement,
 )
-from .errors import BudgetExceededError, DomainError, ValidationError
+from .errors import BudgetExceededError, DomainError, ValidationError, check_int
 from .hanoi import (
     DEFAULT_STATE_BUDGET,
     HanoiState,
@@ -46,15 +48,7 @@ EXIT_BUDGET = 3
 ENV_PREFIX = "PARKHANOI_"
 FORMATS = ("json", "lines", "table")
 
-
-@dataclass
-class CliConfig:
-    output_format: str | None  # None means "use the command's default"
-    budget_states: int
-    budget_n: int
-
-    def format_or(self, default: str) -> str:
-        return self.output_format or default
+Renderer = Callable[[], Iterable[str]]  # the lines of one text format
 
 
 def _env(name: str) -> str | None:
@@ -74,22 +68,19 @@ def _budget(flag_value: int | None, flag: str, env_name: str, default: int) -> i
             value = int(raw)
         except ValueError as exc:
             raise ValidationError(f"{source} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"{source} must be a positive integer, got {value}")
+    check_int(value, source, 1)
     return value
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    fmt = args.format or _env("FORMAT")
+def _config_from(args: argparse.Namespace) -> None:
+    """Resolve format and budgets onto ``args``: flag, else environment, else default."""
+    fmt = args.format = args.format or _env("FORMAT")
     if fmt is not None and fmt not in FORMATS:
         raise ValidationError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    return CliConfig(
-        output_format=fmt,
-        budget_states=_budget(
-            args.budget_states, "--budget-states", "BUDGET_STATES", DEFAULT_STATE_BUDGET
-        ),
-        budget_n=_budget(args.budget_n, "--budget-n", "BUDGET_N", DEFAULT_SCAN_MAX_N),
+    args.budget_states = _budget(
+        args.budget_states, "--budget-states", "BUDGET_STATES", DEFAULT_STATE_BUDGET
     )
+    args.budget_n = _budget(args.budget_n, "--budget-n", "BUDGET_N", DEFAULT_SCAN_MAX_N)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,210 +179,205 @@ def render_state(state: HanoiState) -> str:
     return "\n".join(rows + [base, labels])
 
 
-def _render_outcome_table(alpha: PreferenceVector, outcome) -> str:
+def _outcome_table(alpha: PreferenceVector, outcome) -> Iterator[str]:
     if not outcome.succeeded:
-        return f"car {outcome.failed_car} cannot park; not a parking function"
-    rows = ["car  preferred  parked  bumped"]
+        yield f"car {outcome.failed_car} cannot park; not a parking function"
+        return
+    yield "car  preferred  parked  bumped"
     for i, (a, s, k) in enumerate(
         zip(alpha.prefs, outcome.assignment, outcome.displacements), start=1
     ):
-        rows.append(f"{i:>3}  {a:>9}  {s:>6}  {k:>6}")
-    rows.append(
+        yield f"{i:>3}  {a:>9}  {s:>6}  {k:>6}"
+    yield (
         f"total displacement {outcome.total_displacement}, "
         f"{outcome.lucky_count} lucky car(s)"
     )
-    return "\n".join(rows)
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj))
+def _emit(fmt: str, obj: Callable[[], Any], lines: Renderer, table: Renderer) -> None:
+    """The one output path: ``obj()`` as one JSON line, or each line of the
+    ``lines`` or ``table`` renderer, printed as soon as it is produced."""
+    if fmt == "json":
+        print(json.dumps(obj()))
+    else:
+        for line in (lines if fmt == "lines" else table)():
+            print(line)
 
 
 # --- commands -------------------------------------------------------------
 
 
-def cmd_park(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_park(args: argparse.Namespace) -> int:
     alpha = PreferenceVector.from_text(args.prefs)
     outcome = park(alpha)
-    fmt = config.format_or("json")
-    if fmt == "json":
-        _print_json(outcome.to_json_obj())
-    elif fmt == "lines":
-        for key, value in outcome.to_json_obj().items():
-            print(f"{key}={json.dumps(value)}")
-    else:
-        print(_render_outcome_table(alpha, outcome))
+    _emit(
+        args.format or "json",
+        outcome.to_json_obj,
+        lambda: (f"{key}={json.dumps(value)}" for key, value in outcome.to_json_obj().items()),
+        lambda: _outcome_table(alpha, outcome),
+    )
     return EXIT_OK if outcome.succeeded else EXIT_FAILURE
 
 
-def cmd_enumerate(args: argparse.Namespace, config: CliConfig) -> int:
-    n = args.n
+def cmd_enumerate(args: argparse.Namespace) -> int:
     stream: Iterable
     if args.kind == "pf":
-        stream = enumerate_pf(n, budget_n=config.budget_n)
+        stream = enumerate_pf(args.n, budget_n=args.budget_n)
     elif args.kind == "pf1":
-        stream = enumerate_pf_displacement(n, 1, budget_n=config.budget_n)
+        stream = enumerate_pf_displacement(args.n, 1, budget_n=args.budget_n)
     else:
-        stream = enumerate_ideal_states(n)
-    fmt = config.format_or("lines")
+        stream = enumerate_ideal_states(args.n)
     count = 0
-    if fmt == "json":
-        collected = []
-        for item in stream:
-            collected.append(list(item))
-            count += 1
-        _print_json(collected)
-    else:
-        for index, item in enumerate(stream, start=1):
-            if fmt == "table":
-                print(f"{index:>6}  {item.to_text()}")
-            else:
-                print(item.to_text())
-            count = index
+
+    def numbered():  # counts while streaming: lines and table print each item as it comes
+        nonlocal count
+        for count, item in enumerate(stream, start=1):
+            yield count, item
+
+    _emit(
+        args.format or "lines",
+        lambda: [list(item) for _, item in numbered()],
+        lambda: (item.to_text() for _, item in numbered()),
+        lambda: (f"{i:>6}  {item.to_text()}" for i, item in numbered()),
+    )
     print(f"count={count}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_map(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_map(args: argparse.Namespace) -> int:
     if args.direction == "th2pf":
         record = make_record(HanoiState.from_text(args.vector))
-        mapped_text = record.pf.to_text()
+        mapped = record.pf
     else:
-        state = pf_to_th(PreferenceVector.from_text(args.vector))
-        record = make_record(state)
-        mapped_text = state.to_text()
-    fmt = config.format_or("json")
-    if fmt == "json":
-        _print_json(record.to_json_obj())
-    elif fmt == "lines":
-        print(mapped_text)
-    else:
-        print(f"parking side: {record.pf.to_text()}   (doubled value {record.doubled_value})")
-        print(render_state(record.ideal))
+        record = make_record(pf_to_th(PreferenceVector.from_text(args.vector)))
+        mapped = record.ideal
+    _emit(
+        args.format or "json",
+        record.to_json_obj,
+        lambda: [mapped.to_text()],
+        lambda: [
+            f"parking side: {record.pf.to_text()}   (doubled value {record.doubled_value})",
+            render_state(record.ideal),
+        ],
+    )
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: CliConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    bijection = verify_bijection(n, budget_n=config.budget_n)
-    counts = brute_force_counts(n, budget_n=config.budget_n)
+    bijection = verify_bijection(n, budget_n=args.budget_n)
+    counts = brute_force_counts(n, budget_n=args.budget_n)
     layer = None if n < 2 else optimal_strategies_through_ideal(
-        n, budget_states=config.budget_states
+        n, budget_states=args.budget_states
     )
-    failures = []
-    if not bijection.ok:
-        failures.append(
-            {"check": "bijection", "expected": {"ok": True}, "actual": bijection.to_json_obj()}
-        )
-    for report in counts:
-        if report.match is False:
-            failures.append(
-                {
-                    "check": f"count:{report.statistic}",
-                    "expected": report.closed_form,
-                    "actual": report.brute_force,
-                }
-            )
+    failures = [] if bijection.ok else [
+        {"check": "bijection", "expected": {"ok": True}, "actual": bijection.to_json_obj()}
+    ]
+    failures += [
+        {"check": f"count:{r.statistic}", "expected": r.closed_form, "actual": r.brute_force}
+        for r in counts
+        if r.match is False
+    ]
     if layer is not None and not layer.ok:
+        expected = {"min_win_moves": 2 * n + 3, "flags": {"a": True, "b": True, "c": True}}
         failures.append(
-            {
-                "check": "ideal_layer",
-                "expected": {"min_win_moves": 2 * n + 3, "flags": {"a": True, "b": True, "c": True}},
-                "actual": layer.to_json_obj(),
-            }
+            {"check": "ideal_layer", "expected": expected, "actual": layer.to_json_obj()}
         )
     ok = not failures
-    obj = {
-        "n": n,
-        "bijection": bijection.to_json_obj(),
-        "counts": [r.to_json_obj() for r in counts],
-        "ideal_layer": layer.to_json_obj() if layer is not None else None,
-        "failures": failures,
-        "ok": ok,
-    }
-    fmt = config.format_or("json")
-    if fmt == "json":
-        _print_json(obj)
-    elif fmt == "lines":
-        print(f"ok={json.dumps(ok)}")
-        for failure in failures:
-            print(f"failed={json.dumps(failure)}")
-    else:
-        print(f"verification for n={n}: {'all checks pass' if ok else 'FAILURES'}")
-        for report in counts:
-            print(
-                f"  {report.statistic}: closed form {report.closed_form}, "
-                f"brute force {report.brute_force}, match {report.match}"
+
+    def table():
+        yield f"verification for n={n}: {'all checks pass' if ok else 'FAILURES'}"
+        for r in counts:
+            yield (
+                f"  {r.statistic}: closed form {r.closed_form}, "
+                f"brute force {r.brute_force}, match {r.match}"
             )
-        print(f"  bijection ok: {bijection.ok}")
+        yield f"  bijection ok: {bijection.ok}"
         if layer is not None:
-            print(
+            yield (
                 f"  minimum win {layer.min_win_moves} moves, ideal layer at "
                 f"{layer.ideal_at_level}, flags a/b/c: "
                 f"{layer.flag_a}/{layer.flag_b}/{layer.flag_c}"
             )
+
+    _emit(
+        args.format or "json",
+        lambda: {
+            "n": n,
+            "bijection": bijection.to_json_obj(),
+            "counts": [r.to_json_obj() for r in counts],
+            "ideal_layer": layer.to_json_obj() if layer is not None else None,
+            "failures": failures,
+            "ok": ok,
+        },
+        lambda: [f"ok={json.dumps(ok)}", *(f"failed={json.dumps(f)}" for f in failures)],
+        table,
+    )
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def cmd_solve(args: argparse.Namespace, config: CliConfig) -> int:
-    n = args.n
+def cmd_solve(args: argparse.Namespace) -> int:
     if args.dot:
-        print(dot_ideal_tree(n, budget_states=config.budget_states))
+        print(dot_ideal_tree(args.n, budget_states=args.budget_states))
+        if args.format is not None:
+            print("note: --format is ignored with --dot", file=sys.stderr)
         return EXIT_OK
-    strategy = shortest_strategy(n, budget_states=config.budget_states)
-    ideal_positions = [i for i, s in enumerate(strategy.states) if is_ideal_state(s)]
-    ideal_after = ideal_positions[0] if ideal_positions else None
-    fmt = config.format_or("json")
-    if fmt == "json":
-        _print_json(
-            {
-                "n": n,
-                "min_win_moves": len(strategy.moves),
-                "moves": strategy.to_json_obj(),
-                "states": [list(s.pegs) for s in strategy.states],
-                "ideal_after_move": ideal_after,
-            }
-        )
-    elif fmt == "lines":
-        for i, move in enumerate(strategy.moves, start=1):
-            marker = "  [ideal]" if i == ideal_after else ""
-            print(
-                f"move {i}: disk {move.disk} from {move.from_peg} to {move.to_peg} "
-                f"-> {strategy.states[i].to_text()}{marker}"
-            )
-    else:
-        print(f"start\n{render_state(strategy.states[0])}")
-        for i, move in enumerate(strategy.moves, start=1):
+    strategy = shortest_strategy(args.n, budget_states=args.budget_states)
+    moves, states = list(enumerate(strategy.moves, start=1)), strategy.states
+    ideal_after = next((i for i, s in enumerate(states) if is_ideal_state(s)), None)
+
+    def table():
+        yield f"start\n{render_state(states[0])}"
+        for i, m in moves:
             marker = " (ideal)" if i == ideal_after else ""
-            print(f"\nmove {i}: disk {move.disk} from peg {move.from_peg} to peg "
-                  f"{move.to_peg}{marker}")
-            print(render_state(strategy.states[i]))
+            yield f"\nmove {i}: disk {m.disk} from peg {m.from_peg} to peg {m.to_peg}{marker}"
+            yield render_state(states[i])
+
+    _emit(
+        args.format or "json",
+        lambda: {
+            "n": args.n,
+            "min_win_moves": len(moves),
+            "moves": strategy.to_json_obj(),
+            "states": [list(s.pegs) for s in states],
+            "ideal_after_move": ideal_after,
+        },
+        lambda: (
+            f"move {i}: disk {m.disk} from {m.from_peg} to {m.to_peg} -> "
+            f"{states[i].to_text()}{'  [ideal]' if i == ideal_after else ''}"
+            for i, m in moves
+        ),
+        table,
+    )
     return EXIT_OK
 
 
-def cmd_count(args: argparse.Namespace, config: CliConfig) -> int:
-    reports = brute_force_counts(args.n, budget_n=config.budget_n)
-    fmt = config.format_or("json")
-    if fmt == "json":
-        _print_json([r.to_json_obj() for r in reports])
-    elif fmt == "lines":
-        for r in reports:
-            print(f"{r.statistic}={r.closed_form} brute_force={r.brute_force} "
-                  f"match={r.match}")
-    else:
-        print("statistic               closed_form  brute_force  match")
+def cmd_count(args: argparse.Namespace) -> int:
+    reports = brute_force_counts(args.n, budget_n=args.budget_n)
+
+    def table():
+        yield "statistic               closed_form  brute_force  match"
         for r in reports:
             bf = "-" if r.brute_force is None else str(r.brute_force)
-            print(f"{r.statistic:<22}  {r.closed_form:>11}  {bf:>11}  {r.match}")
+            yield f"{r.statistic:<22}  {r.closed_form:>11}  {bf:>11}  {r.match}"
+
+    _emit(
+        args.format or "json",
+        lambda: [r.to_json_obj() for r in reports],
+        lambda: (
+            f"{r.statistic}={r.closed_form} brute_force={r.brute_force} match={r.match}"
+            for r in reports
+        ),
+        table,
+    )
     return EXIT_FAILURE if any(r.match is False for r in reports) else EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from(args)
-        return args.func(args, config)
+        _config_from(args)
+        return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Any
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, check_int
 from .hanoi import enumerate_ideal_states, is_ideal_state
 from .parking import PreferenceVector, displacement, is_parking_function
 
@@ -27,24 +27,19 @@ DEFAULT_SCAN_MAX_N = 7
 
 def cayley_count(n: int) -> int:
     """(n+1)^(n-1), the number of parking functions of length n.  Exact."""
-    _check_positive(n)
+    check_int(n, "n", 1)
     return (n + 1) ** (n - 1)
 
 
 def lah_count(n: int) -> int:
     """n!(n-1)/2, the shared count of displacement-one parking functions
     of length n and of ideal states of the game on n+1 pegs.  Exact."""
-    _check_positive(n)
+    check_int(n, "n", 1)
     return math.factorial(n) * (n - 1) // 2
 
 
-def _check_positive(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-
-
 def _check_scan_budget(n: int, budget_n: int) -> None:
-    _check_positive(n)
+    check_int(n, "n", 1)
     if n > budget_n:
         raise BudgetExceededError(
             f"scanning all {n}^{n} preference vectors for n={n} exceeds the "
@@ -74,8 +69,7 @@ def enumerate_pf_displacement(
     Any d >= 0 is accepted; beyond the maximum n(n-1)/2 the stream is
     simply empty.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise ValidationError(f"displacement must be a non-negative integer, got {d!r}")
+    check_int(d, "displacement", 0)
     _check_scan_budget(n, budget_n)
     return (pv for pv in _scan_pf(n) if displacement(pv) == d)
 
@@ -87,7 +81,7 @@ def generate_displacement_one(n: int) -> Iterator[PreferenceVector]:
     arrangement of the remaining spots over the remaining cars; yields
     n!(n-1)/2 vectors in lexicographic order.
     """
-    _check_positive(n)
+    check_int(n, "n", 1)
     vectors: list[tuple[int, ...]] = []
     for j in range(1, n):
         rest_values = [v for v in range(1, n + 1) if v != j and v != j + 1]
@@ -145,7 +139,7 @@ def brute_force_counts(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> list[Co
     n = 1 the game does not exist and the ideal set is empty by
     convention.
     """
-    _check_positive(n)
+    check_int(n, "n", 1)
     within = n <= budget_n
     pf_count = sum(1 for _ in enumerate_pf(n)) if within else None
     pf1_count = sum(1 for _ in enumerate_pf_displacement(n, 1)) if within else None

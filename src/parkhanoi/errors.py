@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, plus the one integer check.
 
 The CLI maps these onto distinct exit codes, so the split matters:
 malformed input is a different failure than a well-formed input lying
@@ -25,3 +25,12 @@ class IllegalMoveError(DomainError):
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive search or scan would exceed the configured budget."""
+
+
+def check_int(value: object, name: str, minimum: int) -> None:
+    """Raise ValidationError unless ``value`` is an int (not a bool) >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}"
+        )
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")

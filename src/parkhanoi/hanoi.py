@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from math import perm
 from typing import Any
 
-from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError
+from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError, check_int
 
 #: Default cap on the orbits one state-graph search visits: enough for n <= 8,
 #: whose search visits 562,540 orbits.
@@ -110,9 +110,7 @@ class HanoiMove:
 
     def __post_init__(self) -> None:
         for name in ("disk", "from_peg", "to_peg"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValidationError(f"{name} must be a non-negative integer, got {v!r}")
+            check_int(getattr(self, name), name, 0)
         if self.from_peg == self.to_peg:
             raise ValidationError("a move must change pegs")
 
@@ -125,19 +123,14 @@ class HanoiMove:
 
 def starting_state(n: int) -> HanoiState:
     """All n+1 disks stacked on the source peg."""
-    _check_n(n)
+    check_int(n, "n", 2)
     return HanoiState((0,) * (n + 1))
 
 
 def ending_state(n: int) -> HanoiState:
     """All n+1 disks stacked on the destination peg; reaching it wins."""
-    _check_n(n)
+    check_int(n, "n", 2)
     return HanoiState((n,) * (n + 1))
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValidationError(f"n must be an integer >= 2, got {n!r}")
 
 
 def legal_moves(state: HanoiState | Sequence[int]) -> set[HanoiMove]:
@@ -147,16 +140,8 @@ def legal_moves(state: HanoiState | Sequence[int]) -> set[HanoiMove]:
     whose top disk is larger.
     """
     state = as_state(state)
-    tops = state.top_disks()
-    moves: set[HanoiMove] = set()
-    for from_peg, disk in tops.items():
-        for to_peg in range(state.n + 1):
-            if to_peg == from_peg:
-                continue
-            target = tops.get(to_peg)
-            if target is None or target > disk:
-                moves.add(HanoiMove(disk, from_peg, to_peg))
-    return moves
+    moves = _successors(state.pegs, state.n, range(state.n + 1))
+    return {HanoiMove(disk, from_peg, to_peg) for disk, from_peg, to_peg, _ in moves}
 
 
 def apply_move(state: HanoiState | Sequence[int], move: HanoiMove) -> HanoiState:
@@ -314,11 +299,7 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
     pair, placement of the rest) rather than by filtering all
     (n+1)^(n+1) vectors; yields n!(n-1)/2 states.
     """
-    _check_n(n)
-    return iter(_ideal_states_sorted(n))
-
-
-def _ideal_states_sorted(n: int) -> list[HanoiState]:
+    check_int(n, "n", 2)
     vectors: list[tuple[int, ...]] = []
     interior = range(1, n)
     for j in interior:
@@ -332,7 +313,7 @@ def _ideal_states_sorted(n: int) -> list[HanoiState]:
                     vec[d] = p
                 vectors.append(tuple(vec))
     vectors.sort()
-    return [HanoiState(v) for v in vectors]
+    return iter([HanoiState(v) for v in vectors])
 
 
 # --- state-graph search ------------------------------------------------------
@@ -436,7 +417,7 @@ def _search(
 
 def shortest_win_length(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> int:
     """Minimum number of moves to win, by breadth-first search."""
-    _check_n(n)
+    check_int(n, "n", 2)
     dist, _ = _search(n, [(0,) * (n + 1)], budget_states)
     return dist[(n,) * (n + 1)]
 
@@ -447,7 +428,7 @@ def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> S
     Deterministic: walks from the start always taking the lexicographically
     smallest (disk, from, to) move that stays on a shortest path to the end.
     """
-    _check_n(n)
+    check_int(n, "n", 2)
     dist, _ = _search(n, [(0,) * (n + 1)], budget_states)
     vec = (0,) * (n + 1)
     states = [HanoiState(vec)]
@@ -476,7 +457,7 @@ def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
     distance to the ideal set comes from a search from the ideal orbits,
     valid because relabelling interior pegs keeps a state ideal.
     """
-    _check_n(n)
+    check_int(n, "n", 2)
     target = n + 1
     ideals = {_canonical(s.pegs, n) for s in enumerate_ideal_states(n)}
     dist_ideal, _ = _search(n, ideals, budget_states, depth=target)
@@ -552,7 +533,7 @@ def optimal_strategies_through_ideal(
     set exactly.  Both sets are unions of orbits, so comparing orbits
     suffices.  A mid-layer orbit O carries C(O)*C(swap O)/|O| shortest wins.
     """
-    _check_n(n)
+    check_int(n, "n", 2)
     dist, count = _search(n, [(0,) * (n + 1)], budget_states)
     min_win = dist[(n,) * (n + 1)]
     ideal_states = list(enumerate_ideal_states(n))

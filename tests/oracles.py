@@ -28,6 +28,11 @@ def is_pf_naive(prefs):
     return park_naive(prefs)[1] is None
 
 
+def is_pf_sorted(prefs):
+    """Classical criterion, no parking: the i-th smallest preference is at most i."""
+    return all(a <= i for i, a in enumerate(sorted(prefs), start=1))
+
+
 def displacement_naive(prefs):
     """Total bumping, or None when some car cannot park."""
     assignment, failed = park_naive(prefs)

@@ -161,6 +161,18 @@ def test_solve_dot(capsys):
     assert '"1,1,0"' in out  # the single ideal leaf
 
 
+@pytest.mark.parametrize(
+    "env, prefix", [({}, ["--format", "table"]), ({"PARKHANOI_FORMAT": "json"}, [])]
+)
+def test_solve_dot_notes_an_ignored_format(capsys, monkeypatch, env, prefix):
+    code, plain, err = run(capsys, "solve", "--n", "2", "--dot")
+    assert (code, err) == (0, "")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *prefix, "solve", "--n", "2", "--dot")
+    assert (code, out, err) == (0, plain, "note: --format is ignored with --dot\n")
+
+
 def test_solve_dot_leaves_are_the_ideal_states(capsys):
     # the tree's leaf set together with one solved path reproduces the
     # picture: leaves = ideal states, path = one root-to-leaf route

@@ -7,14 +7,18 @@ import pytest
 
 from parkhanoi import (
     BudgetExceededError,
+    HanoiMove,
     ValidationError,
     brute_force_counts,
     cayley_count,
     displacement,
+    enumerate_ideal_states,
     enumerate_pf,
     enumerate_pf_displacement,
     generate_displacement_one,
     lah_count,
+    starting_state,
+    verify_bijection,
 )
 
 
@@ -186,3 +190,27 @@ def test_streams_are_deterministic():
     second = [p.to_text() for p in enumerate_pf(4)]
     assert first == second
     assert first == sorted(first, key=lambda t: tuple(int(x) for x in t.split(",")))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cayley_count(0), "n must be a positive integer, got 0"),
+        (lambda: lah_count(True), "n must be a positive integer, got True"),
+        (lambda: generate_displacement_one(1.0), "n must be a positive integer, got 1.0"),
+        (lambda: verify_bijection(-2), "n must be a positive integer, got -2"),
+        (lambda: enumerate_pf(0), "n must be a positive integer, got 0"),
+        (
+            lambda: enumerate_pf_displacement(3, -1),
+            "displacement must be a non-negative integer, got -1",
+        ),
+        (lambda: starting_state(1), "n must be an integer >= 2, got 1"),
+        (lambda: enumerate_ideal_states("3"), "n must be an integer >= 2, got '3'"),
+        (lambda: HanoiMove(0, -1, 1), "from_peg must be a non-negative integer, got -1"),
+        (lambda: HanoiMove(False, 0, 1), "disk must be a non-negative integer, got False"),
+    ],
+)
+def test_integer_validation_messages(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message

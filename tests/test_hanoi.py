@@ -31,6 +31,7 @@ from parkhanoi import (
 from oracles import (
     ideal_by_definition,
     ideal_set_brute,
+    neighbors_naive,
     orbit_count,
     shortest_wins_full_cube,
 )
@@ -86,6 +87,13 @@ def test_legal_moves_mid_game():
         HanoiMove(2, 1, 3),
         HanoiMove(3, 0, 3),
     }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_legal_moves_match_naive_neighbors(n):
+    for vec in product(range(n + 1), repeat=n + 1):
+        moved = sorted(apply_move(vec, move).pegs for move in legal_moves(vec))
+        assert moved == sorted(neighbors_naive(vec))
 
 
 @given(states())

@@ -19,7 +19,7 @@ from parkhanoi import (
     park,
 )
 
-from oracles import displacement_naive, is_pf_naive, park_naive
+from oracles import displacement_naive, is_pf_naive, is_pf_sorted, park_naive
 
 
 def vectors(max_n=7):
@@ -155,6 +155,12 @@ def test_simulation_matches_naive_oracle(prefs):
 @given(vectors())
 def test_sorted_criterion_agreement(prefs):
     assert is_parking_function(prefs) == is_pf_naive(prefs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sorted_criterion_agrees_exhaustively(n):
+    for prefs in product(range(1, n + 1), repeat=n):
+        assert is_parking_function(prefs) == is_pf_sorted(prefs)
 
 
 @given(vectors())
