@@ -14,7 +14,7 @@ and the common count exhaustively for a given size.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .enumeration import (
@@ -115,18 +115,7 @@ class BijectionReport:
         )
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "ideal_count": self.ideal_count,
-            "pf_count": self.pf_count,
-            "expected_count": self.expected_count,
-            "injective": self.injective,
-            "structural_image_matches": self.structural_image_matches,
-            "brute_image_matches": self.brute_image_matches,
-            "round_trip_states_ok": self.round_trip_states_ok,
-            "round_trip_prefs_ok": self.round_trip_prefs_ok,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def verify_bijection(
@@ -155,7 +144,7 @@ def verify_bijection(
     brute_match: bool | None = None
     if check_image:
         brute_match = image == set(enumerate_pf_displacement(n, 1, budget_n=budget_n))
-    round_states = all(pf_to_th(th_to_pf(x)) == x for x in ideals)
+    round_states = all(pf_to_th(a) == x for x, a in zip(ideals, mapped))
     round_prefs = all(th_to_pf(pf_to_th(a)) == a for a in structural_pf)
     return BijectionReport(
         n=n,

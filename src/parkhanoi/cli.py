@@ -9,7 +9,8 @@ PARKHANOI_BUDGET_N (flags win over the environment).  Output format is
 json unless noted; ``enumerate`` defaults to lines, one comma-separated
 vector per line, with the count on standard error.  ``solve --dot``
 always prints DOT; when a format is set, by flag or environment, it
-notes on standard error that the format is ignored.
+notes on standard error that the format is ignored.  ``count`` over the
+scan budget names the statistics it left unchecked in a note there.
 """
 
 from __future__ import annotations
@@ -370,6 +371,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         ),
         table,
     )
+    unchecked = ", ".join(r.statistic for r in reports if r.brute_force is None)
+    if unchecked:
+        reason = f"n={args.n} is over the scan budget n <= {args.budget_n}"
+        print(f"note: not checked by brute force: {unchecked}; {reason}", file=sys.stderr)
     return EXIT_FAILURE if any(r.match is False for r in reports) else EXIT_OK
 
 

@@ -6,20 +6,23 @@ vectors park successfully, n!(n-1)/2 of them with total displacement
 one, and the same count of ideal tower states (OEIS A001286).
 
 Enumerators are streamed iterators with deterministic lexicographic
-order; budgets are checked eagerly, before any scanning starts.
+order; budgets are checked eagerly, before any scanning starts.  Every
+parking-side enumerator and count draws from one scan of [n]^n that
+builds each vector once and simulates it once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, permutations, product
 from typing import Any
 
 from .errors import BudgetExceededError, check_int
 from .hanoi import enumerate_ideal_states, is_ideal_state
-from .parking import PreferenceVector, displacement, is_parking_function
+from .parking import PreferenceVector, park
 
 #: Default cap on brute-force scans of [n]^n: n <= 7 (7^7 vectors).
 DEFAULT_SCAN_MAX_N = 7
@@ -50,14 +53,17 @@ def _check_scan_budget(n: int, budget_n: int) -> None:
 def enumerate_pf(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> Iterator[PreferenceVector]:
     """All parking functions of length n, lexicographically, by scanning [n]^n."""
     _check_scan_budget(n, budget_n)
-    return _scan_pf(n)
+    return (pv for pv, _ in _scan(n))
 
 
-def _scan_pf(n: int) -> Iterator[PreferenceVector]:
+def _scan(n: int) -> Iterator[tuple[PreferenceVector, int]]:
+    """Each parking function of length n with its total displacement,
+    lexicographically: one pass over [n]^n, one simulation per vector."""
     for prefs in product(range(1, n + 1), repeat=n):
         pv = PreferenceVector(prefs)
-        if is_parking_function(pv):
-            yield pv
+        outcome = park(pv)
+        if outcome.succeeded:
+            yield pv, outcome.total_displacement
 
 
 def enumerate_pf_displacement(
@@ -71,7 +77,7 @@ def enumerate_pf_displacement(
     """
     check_int(d, "displacement", 0)
     _check_scan_budget(n, budget_n)
-    return (pv for pv in _scan_pf(n) if displacement(pv) == d)
+    return (pv for pv, k in _scan(n) if k == d)
 
 
 def generate_displacement_one(n: int) -> Iterator[PreferenceVector]:
@@ -117,13 +123,7 @@ class CountReport:
         return self.closed_form == self.brute_force
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "statistic": self.statistic,
-            "closed_form": self.closed_form,
-            "brute_force": self.brute_force,
-            "match": self.match,
-        }
+        return {**asdict(self), "match": self.match}
 
 
 #: Largest n whose ideal states get counted by filtering the whole cube.
@@ -133,16 +133,16 @@ IDEAL_FILTER_MAX_N = 4
 def brute_force_counts(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> list[CountReport]:
     """Count reports for all_pf, pf_by_displacement(1) and ideal_states.
 
-    Scans are skipped (brute_force None) when n is over budget, leaving a
-    partial report.  The ideal-state count filters the full (n+1)^(n+1)
+    One scan of [n]^n tallies both parking-function counts.  It is
+    skipped (brute_force None) when n is over budget, leaving a partial
+    report.  The ideal-state count filters the full (n+1)^(n+1)
     cube up to n = 4 and uses the constructive enumerator beyond; for
     n = 1 the game does not exist and the ideal set is empty by
     convention.
     """
     check_int(n, "n", 1)
     within = n <= budget_n
-    pf_count = sum(1 for _ in enumerate_pf(n)) if within else None
-    pf1_count = sum(1 for _ in enumerate_pf_displacement(n, 1)) if within else None
+    tally = Counter(d for _, d in _scan(n)) if within else Counter()
     if n == 1:
         ideal_count: int | None = 0
     elif n <= IDEAL_FILTER_MAX_N:
@@ -154,7 +154,7 @@ def brute_force_counts(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> list[Co
     else:
         ideal_count = None
     return [
-        CountReport(n, "all_pf", cayley_count(n), pf_count),
-        CountReport(n, "pf_by_displacement(1)", lah_count(n), pf1_count),
+        CountReport(n, "all_pf", cayley_count(n), tally.total() if within else None),
+        CountReport(n, "pf_by_displacement(1)", lah_count(n), tally[1] if within else None),
         CountReport(n, "ideal_states", lah_count(n), ideal_count),
     ]

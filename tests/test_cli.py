@@ -194,6 +194,23 @@ def test_count(capsys):
     assert [r["match"] for r in reports] == [True, True, True]
 
 
+@pytest.mark.parametrize(
+    "env, prefix", [({}, ["--budget-n", "3"]), ({"PARKHANOI_BUDGET_N": "3"}, [])]
+)
+def test_count_notes_unchecked_statistics(capsys, monkeypatch, env, prefix):
+    code, _, err = run(capsys, "count", "--n", "4")
+    assert (code, err) == (0, "")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *prefix, "count", "--n", "4")
+    assert code == 0
+    assert [r["brute_force"] for r in json.loads(out)] == [None, None, 36]
+    assert err == (
+        "note: not checked by brute force: all_pf, pf_by_displacement(1); "
+        "n=4 is over the scan budget n <= 3\n"
+    )
+
+
 def test_budget_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("PARKHANOI_BUDGET_N", "3")
     code, _, _ = run(capsys, "enumerate", "pf", "--n", "4")

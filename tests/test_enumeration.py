@@ -8,6 +8,7 @@ import pytest
 from parkhanoi import (
     BudgetExceededError,
     HanoiMove,
+    ParkingOutcome,
     ValidationError,
     brute_force_counts,
     cayley_count,
@@ -20,6 +21,7 @@ from parkhanoi import (
     starting_state,
     verify_bijection,
 )
+from oracles import pf_with_displacement
 
 
 def test_enumerate_pf_small():
@@ -89,10 +91,33 @@ def test_pf_displacement_maximum_is_all_ones():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_partition_by_displacement(n):
     max_d = n * (n - 1) // 2
-    sizes = [sum(1 for _ in enumerate_pf_displacement(n, d)) for d in range(max_d + 1)]
+    layers = [[p.prefs for p in enumerate_pf_displacement(n, d)] for d in range(max_d + 1)]
+    for d, layer in enumerate(layers):
+        assert layer == sorted(layer)
+        assert set(layer) == pf_with_displacement(n, d)
+    sizes = [len(layer) for layer in layers]
     assert sum(sizes) == cayley_count(n)
     assert sizes[0] == math.factorial(n)
     assert sizes[-1] == 1  # the all-ones vector alone has the maximum
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [lambda: brute_force_counts(5), lambda: list(enumerate_pf_displacement(5, 1))],
+    ids=["brute_force_counts", "enumerate_pf_displacement"],
+)
+def test_scan_simulates_each_vector_once(monkeypatch, scan):
+    simulations = 0
+    init = ParkingOutcome.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal simulations
+        simulations += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParkingOutcome, "__init__", counted)
+    scan()
+    assert simulations == 5**5
 
 
 def test_partition_law_n6_single_scan():

@@ -7,7 +7,9 @@ from the full-cube breadth-first search that preceded the peg-symmetric
 one; the ``park``, ``enumerate``, ``map`` and ``count`` lines, the error
 paths and every stderr digest were captured before the CLI's output
 branches were folded into one emitter.  A pass means neither rewrite
-changed an output byte.  The ``PARKHANOI_*`` environment is cleared for
+changed an output byte.  Re-pinned since, for their ``note:`` lines: the
+stderr digests of ``solve --dot`` with a format set and of
+``--budget-n 3 count --n 5``.  The ``PARKHANOI_*`` environment is cleared for
 each call.  To re-pin after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden_cli.json``.
 """

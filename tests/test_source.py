@@ -1,6 +1,7 @@
 """Rules on the package source itself, checked by parsing it."""
 
 import ast
+import sys
 from pathlib import Path
 
 import parkhanoi
@@ -15,5 +16,25 @@ def test_no_assert_statements():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES and found == []
+
+
+def absolute_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node, [node.module]
+
+
+def test_imports_are_stdlib_or_relative():
+    # the runtime stays stdlib-only: every import is relative or from the stdlib
+    found = [
+        f"{path.name}:{node.lineno}:{name}"
+        for path in SOURCES
+        for node, names in absolute_imports(ast.parse(path.read_text(), filename=str(path)))
+        for name in names
+        if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert SOURCES and found == []
