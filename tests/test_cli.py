@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import parkhanoi.enumeration
+from parkhanoi import BijectionReport, IdealLayerReport
 from parkhanoi.cli import main
 
 
@@ -127,6 +129,85 @@ def test_verify_passes(capsys, n):
         assert obj["ideal_layer"] is None
     else:
         assert obj["ideal_layer"]["min_win_moves"] == 2 * n + 3
+
+
+def force_failures(monkeypatch, kinds):
+    """Make the named checks of ``verify`` fail, patching at class or module level."""
+    if "bijection" in kinds:
+        monkeypatch.setattr(BijectionReport, "ok", property(lambda self: False))
+    if "count" in kinds:  # one more parking function than the scan finds
+        monkeypatch.setattr(
+            parkhanoi.enumeration, "cayley_count", lambda n: (n + 1) ** (n - 1) + 1
+        )
+    if "ideal_layer" in kinds:
+        monkeypatch.setattr(IdealLayerReport, "ok", property(lambda self: False))
+
+
+def verify_n2_obj(kinds):
+    """The ``verify --n 2`` JSON object when the checks in ``kinds`` are forced to fail."""
+    all_pf = 4 if "count" in kinds else 3
+    bijection = {
+        "n": 2, "ideal_count": 1, "pf_count": 1, "expected_count": 1, "injective": True,
+        "structural_image_matches": True, "brute_image_matches": True,
+        "round_trip_states_ok": True, "round_trip_prefs_ok": True,
+        "ok": "bijection" not in kinds,
+    }
+    flags = {"a": True, "b": True, "c": True}
+    layer = {
+        "n": 2, "ideal_count": 1, "min_win_moves": 7, "ideal_at_level": 3,
+        "shortest_paths": 1, "flags": flags,
+    }
+    failures = []
+    if "bijection" in kinds:
+        failures.append({"check": "bijection", "expected": {"ok": True}, "actual": bijection})
+    if "count" in kinds:
+        failures.append({"check": "count:all_pf", "expected": 4, "actual": 3})
+    if "ideal_layer" in kinds:
+        failures.append({
+            "check": "ideal_layer",
+            "expected": {"min_win_moves": 7, "flags": flags},
+            "actual": layer,
+        })
+    return {
+        "n": 2,
+        "bijection": bijection,
+        "counts": [
+            {"n": 2, "statistic": "all_pf", "closed_form": all_pf, "brute_force": 3,
+             "match": all_pf == 3},
+            {"n": 2, "statistic": "pf_by_displacement(1)", "closed_form": 1, "brute_force": 1,
+             "match": True},
+            {"n": 2, "statistic": "ideal_states", "closed_form": 1, "brute_force": 1,
+             "match": True},
+        ],
+        "ideal_layer": layer,
+        "failures": failures,
+        "ok": False,
+    }
+
+
+@pytest.mark.parametrize(
+    "kinds", [("bijection",), ("count",), ("ideal_layer",), ("bijection", "count", "ideal_layer")]
+)
+def test_verify_failure_output(capsys, monkeypatch, kinds):
+    force_failures(monkeypatch, kinds)
+    obj = verify_n2_obj(kinds)
+    all_pf = obj["counts"][0]
+    table = (
+        "verification for n=2: FAILURES\n"
+        f"  all_pf: closed form {all_pf['closed_form']}, brute force 3, "
+        f"match {all_pf['match']}\n"
+        "  pf_by_displacement(1): closed form 1, brute force 1, match True\n"
+        "  ideal_states: closed form 1, brute force 1, match True\n"
+        f"  bijection ok: {obj['bijection']['ok']}\n"
+        "  minimum win 7 moves, ideal layer at 3, flags a/b/c: True/True/True\n"
+    )
+    expected = {
+        "json": json.dumps(obj) + "\n",
+        "lines": "ok=false\n" + "".join(f"failed={json.dumps(f)}\n" for f in obj["failures"]),
+        "table": table,
+    }
+    for fmt, stdout in expected.items():
+        assert run(capsys, "--format", fmt, "verify", "--n", "2") == (1, stdout, "")
 
 
 def test_solve_n2(capsys):
