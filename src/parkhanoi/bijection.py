@@ -7,8 +7,8 @@ x_i > j.  The doubled peg becomes the doubled preference, so j is
 preserved.  The inverse undoes the shift: entries above j+1 drop by one
 (no entry ever equals j+1, since the single preferences skip it).
 
-``verify_bijection`` checks injectivity, the image, both round trips
-and the common count exhaustively for a given size.
+``verify_bijection`` checks the map exhaustively at one size; ``verify``
+adds the brute-force counts and the ideal-layer analysis, the whole battery.
 """
 
 from __future__ import annotations
@@ -19,12 +19,21 @@ from typing import Any
 
 from .enumeration import (
     DEFAULT_SCAN_MAX_N,
+    _check_scan_budget,
+    brute_force_counts,
     enumerate_pf_displacement,
     generate_displacement_one,
     lah_count,
 )
-from .errors import BudgetExceededError, check_int
-from .hanoi import HanoiState, as_state, enumerate_ideal_states, ideal_witness
+from .errors import check_int
+from .hanoi import (
+    DEFAULT_STATE_BUDGET,
+    HanoiState,
+    as_state,
+    enumerate_ideal_states,
+    ideal_witness,
+    optimal_strategies_through_ideal,
+)
 from .parking import PreferenceVector, as_preference_vector, doubled_preference
 
 
@@ -130,11 +139,8 @@ def verify_bijection(
     have n!(n-1)/2 elements.  n = 1 passes vacuously on empty sets.
     """
     check_int(n, "n", 1)
-    if check_image and n > budget_n:
-        raise BudgetExceededError(
-            f"the image check scans {n}^{n} vectors, over the budget n <= {budget_n}; "
-            f"raise the budget or pass check_image=False"
-        )
+    if check_image:
+        _check_scan_budget(n, budget_n)
     ideals = [] if n == 1 else list(enumerate_ideal_states(n))
     structural_pf = list(generate_displacement_one(n))
     mapped = [th_to_pf(x) for x in ideals]
@@ -157,3 +163,34 @@ def verify_bijection(
         round_trip_states_ok=round_states,
         round_trip_prefs_ok=round_prefs,
     )
+
+
+def verify(
+    n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N, budget_states: int = DEFAULT_STATE_BUDGET
+) -> dict[str, Any]:
+    """The whole battery at size n as one JSON object: the bijection, count and
+    ideal-layer reports (None for n = 1), one ``failures`` entry per failed
+    check, and ``ok``.  Raises BudgetExceededError over either budget."""
+    bijection = verify_bijection(n, budget_n=budget_n).to_json_obj()
+    counts = brute_force_counts(n, budget_n=budget_n)
+    layer = None if n < 2 else optimal_strategies_through_ideal(n, budget_states=budget_states)
+    layer_obj = None if layer is None else layer.to_json_obj()
+    failures = [] if bijection["ok"] else [
+        {"check": "bijection", "expected": {"ok": True}, "actual": bijection}
+    ]
+    failures += [
+        {"check": f"count:{r.statistic}", "expected": r.closed_form, "actual": r.brute_force}
+        for r in counts
+        if r.match is False
+    ]
+    if layer is not None and not layer.ok:
+        expected = {"min_win_moves": 2 * n + 3, "flags": {"a": True, "b": True, "c": True}}
+        failures.append({"check": "ideal_layer", "expected": expected, "actual": layer_obj})
+    return {
+        "n": n,
+        "bijection": bijection,
+        "counts": [r.to_json_obj() for r in counts],
+        "ideal_layer": layer_obj,
+        "failures": failures,
+        "ok": not failures,
+    }

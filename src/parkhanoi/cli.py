@@ -22,7 +22,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
-from .bijection import make_record, pf_to_th, verify_bijection
+from .bijection import make_record, pf_to_th, verify
 from .enumeration import (
     DEFAULT_SCAN_MAX_N,
     brute_force_counts,
@@ -36,7 +36,6 @@ from .hanoi import (
     dot_ideal_tree,
     enumerate_ideal_states,
     is_ideal_state,
-    optimal_strategies_through_ideal,
     shortest_strategy,
 )
 from .parking import PreferenceVector, park
@@ -265,53 +264,28 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    n = args.n
-    bijection = verify_bijection(n, budget_n=args.budget_n)
-    counts = brute_force_counts(n, budget_n=args.budget_n)
-    layer = None if n < 2 else optimal_strategies_through_ideal(
-        n, budget_states=args.budget_states
-    )
-    failures = [] if bijection.ok else [
-        {"check": "bijection", "expected": {"ok": True}, "actual": bijection.to_json_obj()}
-    ]
-    failures += [
-        {"check": f"count:{r.statistic}", "expected": r.closed_form, "actual": r.brute_force}
-        for r in counts
-        if r.match is False
-    ]
-    if layer is not None and not layer.ok:
-        expected = {"min_win_moves": 2 * n + 3, "flags": {"a": True, "b": True, "c": True}}
-        failures.append(
-            {"check": "ideal_layer", "expected": expected, "actual": layer.to_json_obj()}
-        )
-    ok = not failures
+    result = verify(args.n, budget_n=args.budget_n, budget_states=args.budget_states)
+    ok, layer = result["ok"], result["ideal_layer"]
 
     def table():
-        yield f"verification for n={n}: {'all checks pass' if ok else 'FAILURES'}"
-        for r in counts:
+        yield f"verification for n={args.n}: {'all checks pass' if ok else 'FAILURES'}"
+        for r in result["counts"]:
             yield (
-                f"  {r.statistic}: closed form {r.closed_form}, "
-                f"brute force {r.brute_force}, match {r.match}"
+                f"  {r['statistic']}: closed form {r['closed_form']}, "
+                f"brute force {r['brute_force']}, match {r['match']}"
             )
-        yield f"  bijection ok: {bijection.ok}"
+        yield f"  bijection ok: {result['bijection']['ok']}"
         if layer is not None:
+            flags = "/".join(map(str, layer["flags"].values()))
             yield (
-                f"  minimum win {layer.min_win_moves} moves, ideal layer at "
-                f"{layer.ideal_at_level}, flags a/b/c: "
-                f"{layer.flag_a}/{layer.flag_b}/{layer.flag_c}"
+                f"  minimum win {layer['min_win_moves']} moves, ideal layer at "
+                f"{layer['ideal_at_level']}, flags a/b/c: {flags}"
             )
 
     _emit(
         args.format or "json",
-        lambda: {
-            "n": n,
-            "bijection": bijection.to_json_obj(),
-            "counts": [r.to_json_obj() for r in counts],
-            "ideal_layer": layer.to_json_obj() if layer is not None else None,
-            "failures": failures,
-            "ok": ok,
-        },
-        lambda: [f"ok={json.dumps(ok)}", *(f"failed={json.dumps(f)}" for f in failures)],
+        lambda: result,
+        lambda: [f"ok={json.dumps(ok)}", *(f"failed={json.dumps(f)}" for f in result["failures"])],
         table,
     )
     return EXIT_OK if ok else EXIT_FAILURE

@@ -313,7 +313,7 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
                     vec[d] = p
                 vectors.append(tuple(vec))
     vectors.sort()
-    return iter([HanoiState(v) for v in vectors])
+    return (HanoiState(v) for v in vectors)
 
 
 # --- state-graph search ------------------------------------------------------
@@ -536,8 +536,7 @@ def optimal_strategies_through_ideal(
     check_int(n, "n", 2)
     dist, count = _search(n, [(0,) * (n + 1)], budget_states)
     min_win = dist[(n,) * (n + 1)]
-    ideal_states = list(enumerate_ideal_states(n))
-    ideal = {_canonical(s.pegs, n) for s in ideal_states}
+    ideal = Counter(_canonical(s.pegs, n) for s in enumerate_ideal_states(n))
     flag_a = all(dist[o] == n + 1 for o in ideal)
     flag_b = all(dist[_canonical(o, n, swap=True)] == n + 2 for o in ideal)
     mid_layer = {
@@ -548,10 +547,10 @@ def optimal_strategies_through_ideal(
     path_count = sum(
         count[o] * count[_canonical(o, n, swap=True)] // _orbit_size(o, n) for o in mid_layer
     )
-    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal
+    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal.keys()
     return IdealLayerReport(
         n=n,
-        ideal_count=len(ideal_states),
+        ideal_count=ideal.total(),
         min_win_moves=min_win,
         ideal_at_level=n + 1,
         shortest_path_count=path_count,

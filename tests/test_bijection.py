@@ -1,5 +1,7 @@
 """The explicit map between ideal states and displacement-one parking functions."""
 
+import json
+
 import pytest
 
 from parkhanoi import (
@@ -12,10 +14,13 @@ from parkhanoi import (
     make_record,
     pf_to_th,
     th_to_pf,
+    verify,
     verify_bijection,
 )
+from parkhanoi.cli import main
 
 from oracles import pf_with_displacement
+from test_cli import force_failures, verify_n2_obj
 
 
 def test_forward_examples():
@@ -97,3 +102,21 @@ def test_record_serialization():
         "pf": [2, 2, 1],
         "j": 2,
     }
+
+
+@pytest.mark.parametrize(
+    "kinds", [("bijection",), ("count",), ("ideal_layer",), ("bijection", "count", "ideal_layer")]
+)
+def test_verify_lists_each_failed_check(monkeypatch, kinds):
+    force_failures(monkeypatch, kinds)
+    result = verify(2)
+    assert [f["check"] for f in result["failures"]] == [
+        "count:all_pf" if kind == "count" else kind for kind in kinds
+    ]
+    assert json.dumps(result) == json.dumps(verify_n2_obj(kinds))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verify_is_what_the_cli_prints(capsys, n):
+    assert main(["--format", "json", "verify", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == json.dumps(verify(n)) + "\n"

@@ -292,6 +292,20 @@ def test_count_notes_unchecked_statistics(capsys, monkeypatch, env, prefix):
     )
 
 
+@pytest.mark.parametrize(
+    "env, prefix", [({}, ["--budget-n", "3"]), ({"PARKHANOI_BUDGET_N": "3"}, [])]
+)
+def test_verify_over_scan_budget(capsys, monkeypatch, env, prefix):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *prefix, "verify", "--n", "4")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: scanning all 4^4 preference vectors for n=4 exceeds the budget n <= 3; "
+        "raise the budget to scan anyway\n"
+    )
+
+
 def test_budget_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("PARKHANOI_BUDGET_N", "3")
     code, _, _ = run(capsys, "enumerate", "pf", "--n", "4")

@@ -176,6 +176,20 @@ def test_enumerate_ideal_states_n3():
     assert set(got) == ideal_set_brute(3)
 
 
+def test_enumerate_ideal_states_streams(monkeypatch):
+    built = 0
+    post_init = HanoiState.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(HanoiState, "__post_init__", counted)
+    assert next(enumerate_ideal_states(6)).pegs == (1, 1, 2, 3, 4, 5, 0)
+    assert built == 1
+
+
 def test_enumerate_ideal_states_n2():
     assert [s.pegs for s in enumerate_ideal_states(2)] == [(1, 1, 0)]
 
