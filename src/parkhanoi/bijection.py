@@ -170,10 +170,11 @@ def verify(
 ) -> dict[str, Any]:
     """The whole battery at size n as one JSON object: the bijection, count and
     ideal-layer reports (None for n = 1), one ``failures`` entry per failed
-    check, and ``ok``.  Raises BudgetExceededError over either budget."""
+    check, and ``ok``.  Raises BudgetExceededError over either budget before any scan."""
+    _check_scan_budget(n, budget_n)
+    layer = None if n < 2 else optimal_strategies_through_ideal(n, budget_states=budget_states)
     bijection = verify_bijection(n, budget_n=budget_n).to_json_obj()
     counts = brute_force_counts(n, budget_n=budget_n)
-    layer = None if n < 2 else optimal_strategies_through_ideal(n, budget_states=budget_states)
     layer_obj = None if layer is None else layer.to_json_obj()
     failures = [] if bijection["ok"] else [
         {"check": "bijection", "expected": {"ok": True}, "actual": bijection}

@@ -16,6 +16,7 @@ scan budget names the statistics it left unchecked in a note there.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,6 +84,7 @@ def _config_from(args: argparse.Namespace) -> None:
     args.budget_n = _budget(args.budget_n, "--budget-n", "BUDGET_N", DEFAULT_SCAN_MAX_N)
 
 
+@functools.cache  # built on first use, then shared by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parkhanoi",

@@ -6,9 +6,9 @@ vectors park successfully, n!(n-1)/2 of them with total displacement
 one, and the same count of ideal tower states (OEIS A001286).
 
 Enumerators are streamed iterators with deterministic lexicographic
-order; budgets are checked eagerly, before any scanning starts.  Every
-parking-side enumerator and count draws from one scan of [n]^n that
-builds each vector once and simulates it once.
+order; budgets are checked eagerly, before any scanning starts.  The
+filtering enumerators and the counts share one scan of [n]^n that parks
+each vector once; the constructive ones place entries depth first.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Any
 
 from .errors import BudgetExceededError, check_int
@@ -83,24 +83,21 @@ def enumerate_pf_displacement(
 def generate_displacement_one(n: int) -> Iterator[PreferenceVector]:
     """Displacement-one parking functions built constructively, not by filtering.
 
-    Choose the doubled value j, the two cars sharing it, and an
-    arrangement of the remaining spots over the remaining cars; yields
-    n!(n-1)/2 vectors in lexicographic order.
+    Entries are placed depth first, each a new value until one value j
+    repeats; the unused values other than j+1 then follow in every order.
+    Yields the n!(n-1)/2 vectors in lexicographic order without storing them.
     """
     check_int(n, "n", 1)
-    vectors: list[tuple[int, ...]] = []
-    for j in range(1, n):
-        rest_values = [v for v in range(1, n + 1) if v != j and v != j + 1]
-        for k, kp in combinations(range(n), 2):
-            rest_positions = [i for i in range(n) if i != k and i != kp]
-            for arrangement in permutations(rest_values):
-                vec = [0] * n
-                vec[k] = vec[kp] = j
-                for i, v in zip(rest_positions, arrangement):
-                    vec[i] = v
-                vectors.append(tuple(vec))
-    vectors.sort()
-    return (PreferenceVector(v) for v in vectors)
+
+    def place(prefix: tuple[int, ...], unused: list[int]) -> Iterator[PreferenceVector]:
+        for v in range(1, n + 1):
+            if v in unused:
+                yield from place(prefix + (v,), [u for u in unused if u != v])
+            elif v + 1 in unused:
+                for rest in permutations([u for u in unused if u != v + 1]):
+                    yield PreferenceVector(prefix + (v,) + rest)
+
+    return place((), list(range(1, n + 1)))
 
 
 @dataclass(frozen=True)

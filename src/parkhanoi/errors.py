@@ -1,10 +1,12 @@
-"""Exception taxonomy shared across the package, plus the one integer check.
+"""Exception taxonomy shared across the package, plus the integer and vector checks.
 
 The CLI maps these onto distinct exit codes, so the split matters:
 malformed input is a different failure than a well-formed input lying
 outside an operation's domain, and both differ from an exhausted search
 budget.
 """
+
+import re
 
 
 class ValidationError(ValueError):
@@ -34,3 +36,13 @@ def check_int(value: object, name: str, minimum: int) -> None:
             minimum, f"an integer >= {minimum}"
         )
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def parse_vector(text: str, what: str) -> tuple[int, ...]:
+    """Entries of a vector written as ASCII digits and single commas, like ``"3,1,1"``."""
+    try:
+        if re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
+            return tuple(map(int, text.split(",")))
+    except ValueError:  # an entry past the interpreter's digit limit
+        pass
+    raise ValidationError(f"cannot parse {what} from {text!r}")

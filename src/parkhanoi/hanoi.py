@@ -27,11 +27,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from math import perm
 from typing import Any
 
-from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError, check_int
+from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError
+from .errors import check_int, parse_vector
 
 #: Default cap on the orbits one state-graph search visits: enough for n <= 8,
 #: whose search visits 562,540 orbits.
@@ -73,11 +74,7 @@ class HanoiState:
     @classmethod
     def from_text(cls, text: str) -> "HanoiState":
         """Parse a comma-separated state such as ``"2,2,1,0"``."""
-        try:
-            entries = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse state from {text!r}") from exc
-        return cls(entries)
+        return cls(parse_vector(text, "state"))
 
     def to_text(self) -> str:
         return ",".join(str(p) for p in self.pegs)
@@ -250,8 +247,6 @@ class IdealStateWitness:
             self, "singleton_assignment", tuple(sorted(self.singleton_assignment))
         )
         n = len(self.singleton_assignment) + 2
-        if n < 2:
-            raise ValidationError("a witness needs at least the doubled pair")
         k, kp = self.doubled_disks
         if k == kp:
             raise ValidationError("the doubled disks must be distinct")
@@ -295,25 +290,22 @@ def ideal_witness(state: HanoiState | Sequence[int]) -> IdealStateWitness:
 def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
     """Every ideal state exactly once, in lexicographic order of the vector.
 
-    Built directly from the witness decomposition (doubled peg, doubled
-    pair, placement of the rest) rather than by filtering all
-    (n+1)^(n+1) vectors; yields n!(n-1)/2 states.
+    Built directly, not by filtering all (n+1)^(n+1) vectors: disks 0..n-1
+    are placed depth first, each on a new interior peg until one peg
+    repeats, then the unused interior pegs follow in every order.  Yields
+    n!(n-1)/2 states without storing them.
     """
     check_int(n, "n", 2)
-    vectors: list[tuple[int, ...]] = []
-    interior = range(1, n)
-    for j in interior:
-        other_pegs = [p for p in interior if p != j]
-        for k, kp in combinations(range(n), 2):
-            rest_disks = [d for d in range(n) if d != k and d != kp]
-            for placement in permutations(other_pegs):
-                vec = [0] * (n + 1)
-                vec[k] = vec[kp] = j
-                for d, p in zip(rest_disks, placement):
-                    vec[d] = p
-                vectors.append(tuple(vec))
-    vectors.sort()
-    return (HanoiState(v) for v in vectors)
+
+    def place(prefix: tuple[int, ...], unused: list[int]) -> Iterator[HanoiState]:
+        for p in range(1, n):
+            if p in unused:
+                yield from place(prefix + (p,), [q for q in unused if q != p])
+            else:
+                for rest in permutations(unused):
+                    yield HanoiState(prefix + (p,) + rest + (0,))
+
+    return place((), list(range(1, n)))
 
 
 # --- state-graph search ------------------------------------------------------

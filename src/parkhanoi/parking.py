@@ -19,7 +19,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, parse_vector
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,7 @@ class PreferenceVector:
     @classmethod
     def from_text(cls, text: str) -> "PreferenceVector":
         """Parse a comma-separated vector such as ``"3,1,1,3,2"``."""
-        try:
-            entries = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse preference vector from {text!r}") from exc
-        return cls(entries)
+        return cls(parse_vector(text, "preference vector"))
 
     def to_text(self) -> str:
         return ",".join(str(a) for a in self.prefs)

@@ -1,11 +1,24 @@
 """Command-line surface: output encodings and the exit-code contract."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import parkhanoi.cli
 import parkhanoi.enumeration
-from parkhanoi import BijectionReport, IdealLayerReport
+from parkhanoi import (
+    BijectionReport,
+    HanoiState,
+    IdealLayerReport,
+    ParkingOutcome,
+    PreferenceVector,
+    ValidationError,
+    enumerate_ideal_states,
+)
 from parkhanoi.cli import main
 
 
@@ -107,6 +120,59 @@ def test_map_json_record(capsys):
     code, out, _ = run(capsys, "map", "th2pf", "2,2,1,0")
     assert code == 0
     assert json.loads(out) == {"n": 3, "ideal": [2, 2, 1, 0], "pf": [2, 2, 1], "j": 2}
+
+
+def in_grammar(text):
+    # ASCII digits separated by single commas, written without a regex
+    return all(part and all(c in "0123456789" for c in part) for part in text.split(","))
+
+
+def exit_code(*argv):
+    """main's exit code with its output discarded; argparse usage errors exit 2."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.builds(
+            lambda text, i, c: text[:i] + c + text[i:],
+            st.sampled_from(["1,1", "2,2,1,0", "3,1,1,3,2"]),
+            st.integers(0, 9),
+            st.sampled_from([" ", "+", "-", "_", ",", ".", "\n", "\uff11", "\u0663", "x"]),
+        ),
+    ).filter(lambda text: not in_grammar(text))
+)
+def test_text_outside_the_grammar_is_rejected(text):
+    for parse in (PreferenceVector.from_text, HanoiState.from_text):
+        with pytest.raises(ValidationError, match="cannot parse"):
+            parse(text)
+    assert exit_code("park", text) == 2
+    assert exit_code("map", "th2pf", text) == 2
+    assert exit_code("map", "pf2th", text) == 2
+
+
+@pytest.mark.parametrize("text", [" 1, 1", "+1,1", "1_0,1", "\uff11,1", "1,,1", "1,"])
+def test_lenient_int_spellings_are_rejected(capsys, text):
+    code, out, err = run(capsys, "park", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse preference vector from {text!r}\n"
+    code, out, err = run(capsys, "map", "th2pf", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse state from {text!r}\n"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_map_round_trip_through_the_cli(capsys, n):
+    for state in enumerate_ideal_states(n):
+        code, pf, _ = run(capsys, "--format", "lines", "map", "th2pf", state.to_text())
+        assert code == 0
+        code, back, _ = run(capsys, "--format", "lines", "map", "pf2th", pf.strip())
+        assert (code, back) == (0, state.to_text() + "\n")
 
 
 def test_map_domain_error(capsys):
@@ -333,6 +399,30 @@ def test_state_budget_flag(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "env, prefix",
+    [({}, ["--budget-states", "10"]), ({"PARKHANOI_BUDGET_STATES": "10"}, [])],
+)
+def test_verify_checks_the_search_budget_before_any_scan(capsys, monkeypatch, env, prefix):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    simulations = 0
+    init = ParkingOutcome.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal simulations
+        simulations += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParkingOutcome, "__init__", counted)
+    code, out, err = run(capsys, *prefix, "verify", "--n", "6")
+    assert (code, out, simulations) == (3, "", 0)
+    assert err == (
+        "error: the search for n=6 visits more than 10 peg-symmetry orbits, over the "
+        "budget; raise the budget to search it\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--budget-states", "--budget-n"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_non_positive_budget_flag_is_rejected(capsys, flag, value):
@@ -384,3 +474,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "everything", "--n", "2"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once(capsys):
+    parkhanoi.cli.build_parser.cache_clear()
+    assert run(capsys, "park", "1,1")[0] == 0
+    assert run(capsys, "map", "th2pf", "2,2,1,0")[0] == 0
+    info = parkhanoi.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -1,6 +1,7 @@
 """Enumerators, closed-form counters and the counting harness."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -17,6 +18,7 @@ from parkhanoi import (
     enumerate_pf,
     enumerate_pf_displacement,
     generate_displacement_one,
+    is_ideal_state,
     lah_count,
     starting_state,
     verify_bijection,
@@ -144,6 +146,33 @@ def test_constructive_generator_equals_filter(n):
     assert len(constructed) == lah_count(n)
     filtered = [p.prefs for p in enumerate_pf_displacement(n, 1)]
     assert set(constructed) == set(filtered)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_constructive_streams_are_their_families_in_order(n):
+    # strictly increasing, every item a member, lah_count(n) items: together
+    # these pin the whole family in lexicographic order
+    streams = [
+        ([p.prefs for p in generate_displacement_one(n)], lambda a: displacement(a) == 1),
+        ([s.pegs for s in enumerate_ideal_states(n)], is_ideal_state),
+    ]
+    for stream, member in streams:
+        assert all(a < b for a, b in zip(stream, stream[1:]))
+        assert all(map(member, stream))
+        assert len(stream) == lah_count(n)
+
+
+@pytest.mark.parametrize(
+    "enumerator", [generate_displacement_one, enumerate_ideal_states], ids=lambda f: f.__name__
+)
+def test_constructive_streams_hold_only_a_prefix(enumerator):
+    tracemalloc.start()
+    try:
+        next(enumerator(8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_budget_is_checked_eagerly():
