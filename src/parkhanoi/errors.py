@@ -40,9 +40,9 @@ def check_int(value: object, name: str, minimum: int) -> None:
 
 def parse_vector(text: str, what: str) -> tuple[int, ...]:
     """Entries of a vector written as ASCII digits and single commas, like ``"3,1,1"``."""
-    try:
-        if re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
+    if re.fullmatch(r"[0-9]+(,[0-9]+)*", text):
+        try:
             return tuple(map(int, text.split(",")))
-    except ValueError:  # an entry past the interpreter's digit limit
-        pass
+        except ValueError:  # an entry past the interpreter's digit limit
+            pass
     raise ValidationError(f"cannot parse {what} from {text!r}")

@@ -156,8 +156,11 @@ def test_text_outside_the_grammar_is_rejected(text):
     assert exit_code("map", "pf2th", text) == 2
 
 
-@pytest.mark.parametrize("text", [" 1, 1", "+1,1", "1_0,1", "\uff11,1", "1,,1", "1,"])
-def test_lenient_int_spellings_are_rejected(capsys, text):
+@pytest.mark.parametrize(
+    "text",
+    [" 1, 1", "+1,1", "1_0,1", "\uff11,1", "1,,1", "1,", pytest.param("9" * 5000, id="9" * 8)],
+)
+def test_grammar_error_names_the_type(capsys, text):
     code, out, err = run(capsys, "park", text)
     assert (code, out) == (2, "")
     assert err == f"error: cannot parse preference vector from {text!r}\n"
@@ -359,7 +362,12 @@ def test_count_notes_unchecked_statistics(capsys, monkeypatch, env, prefix):
 
 
 @pytest.mark.parametrize(
-    "env, prefix", [({}, ["--budget-n", "3"]), ({"PARKHANOI_BUDGET_N": "3"}, [])]
+    "env, prefix",
+    [
+        ({}, ["--budget-n", "3"]),
+        ({"PARKHANOI_BUDGET_N": "3"}, []),
+        ({}, ["--budget-n", "3", "--budget-states", "10"]),  # the scan error wins
+    ],
 )
 def test_verify_over_scan_budget(capsys, monkeypatch, env, prefix):
     for name, value in env.items():
