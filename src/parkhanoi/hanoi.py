@@ -14,9 +14,9 @@ two distinct disks among 0..n-1 may form that doubled pair, disk 0
 included.  Ideal states are the doorway of every minimum-length win:
 the searches below verify exhaustively that the minimum win takes 2n+3
 moves and that every minimum win sits in an ideal state right after
-move n+1.  They run one breadth-first search kernel over the orbits of
-the interior-peg relabelling, which fixes the start and the end, and
-cap the orbits it visits by a budget.
+move n+1.  They share one breadth-first search from the start over the
+orbits of the interior-peg relabelling, which fixes the start and the
+end, and cap the orbits it visits by a budget.
 
 States, moves and strategies are immutable values; all functions are
 pure, and the searches are deterministic.
@@ -25,8 +25,9 @@ pure, and the searches are deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from math import perm
 from typing import Any
@@ -313,9 +314,9 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 # Every vector of the cube {0..n}^(n+1) is a valid position, because
 # stacking order is implicit, and the move graph connects them all.
 # Relabelling the interior pegs 1..n-1 maps moves to moves and fixes both
-# the start and the end, so one breadth-first search kernel, ``_search``,
-# visits one canonical vector per orbit of that relabelling: interior
-# pegs renumbered 1, 2, ... in the order their smallest disk appears.
+# the start and the end, so one breadth-first search from the start,
+# ``_search``, visits one canonical vector per orbit of that relabelling:
+# interior pegs renumbered 1, 2, ... in the order their smallest disk appears.
 # For n = 7 that is 94,783 orbits instead of 16.7 M vectors.
 #
 # - Path counts are orbit totals: C[O] sums the shortest-path counts of
@@ -324,7 +325,8 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 #   vector of orbit(u) has the same moves up to relabelling.
 # - Swapping pegs 0 and n maps the start to the end and commutes with the
 #   relabelling, so dist_end(v) = dist_start(swap v) and one search from
-#   the start serves both ends.
+#   the start serves both ends: k moves into a shortest win of length L,
+#   the state has dist_end L-k, the rule ``shortest_strategy`` walks.
 # - Moves onto the empty interior pegs of a vector all land in one orbit,
 #   so the kernel makes one of them, weighted by how many there are.
 
@@ -361,22 +363,21 @@ def _successors(
 
 
 def _search(
-    n: int, sources: Iterable[tuple[int, ...]], budget_states: int, depth: int | None = None
+    n: int, budget_states: int
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """Layered breadth-first search over orbits from canonical ``sources``.
+    """Layered breadth-first search over orbits from the start.
 
-    Returns the distance of every visited orbit and its orbit-total count
-    of shortest paths from the sources, each source counting 1.  Stops
-    after ``depth`` layers when given, and raises BudgetExceededError as
-    soon as more than ``budget_states`` orbits are visited.
+    Returns each orbit's distance and orbit-total count of shortest paths
+    from the start; raises BudgetExceededError past ``budget_states`` orbits.
     """
-    dist = dict.fromkeys(sources, 0)
+    check_int(n, "n", 2)
+    dist = {(0,) * (n + 1): 0}
     count = dict.fromkeys(dist, 1)
     # the relabelling of each order in which pegs first appear, built once
     labels: dict[tuple[int, ...], Callable[[int], int]] = {}
     frontier = list(dist)
     level = 0
-    while frontier and level != depth:
+    while frontier:
         level += 1
         nxt = []
         for u in frontier:
@@ -409,8 +410,7 @@ def _search(
 
 def shortest_win_length(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> int:
     """Minimum number of moves to win, by breadth-first search."""
-    check_int(n, "n", 2)
-    dist, _ = _search(n, [(0,) * (n + 1)], budget_states)
+    dist, _ = _search(n, budget_states)
     return dist[(n,) * (n + 1)]
 
 
@@ -420,8 +420,7 @@ def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> S
     Deterministic: walks from the start always taking the lexicographically
     smallest (disk, from, to) move that stays on a shortest path to the end.
     """
-    check_int(n, "n", 2)
-    dist, _ = _search(n, [(0,) * (n + 1)], budget_states)
+    dist, _ = _search(n, budget_states)
     vec = (0,) * (n + 1)
     states = [HanoiState(vec)]
     moves: list[HanoiMove] = []
@@ -442,19 +441,22 @@ def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
     """DOT digraph of every minimal move sequence from the start to an
     ideal state.
 
-    Each ideal state sits n+1 moves from the start, so the walks of
-    length n+1 that end on an ideal state are exactly the shortest ones;
-    repeated states along different branches appear as separate nodes,
-    making the output a tree whose leaves are the ideal states.  The
-    distance to the ideal set comes from a search from the ideal orbits,
-    valid because relabelling interior pegs keeps a state ideal.
+    A child joins the tree when it stays on a shortest win, the rule that
+    ``shortest_strategy`` walks.  Wherever flags (a)-(c) of
+    ``optimal_strategies_through_ideal`` hold, every shortest win passes
+    an ideal state right after move n+1, so the tree is exact: its paths
+    are the shortest routes to the ideal states, one node per visit.
     """
-    check_int(n, "n", 2)
+    dist, _ = _search(n, budget_states)
     target = n + 1
-    ideals = {_canonical(s.pegs, n) for s in enumerate_ideal_states(n)}
-    dist_ideal, _ = _search(n, ideals, budget_states, depth=target)
+    win = dist[(n,) * (n + 1)]
     lines = ["digraph ideal_tree {", "  node [shape=box];"]
     node_count = 0
+
+    @cache  # states recur across branches; the cache lives for this call only
+    def on_a_win(vec: tuple[int, ...], left: int) -> list[tuple[int, ...]]:
+        steps = _successors(vec, n, range(n + 1))
+        return [w for *_, w in steps if dist[_canonical(w, n, swap=True)] == left]
 
     def emit(vec: tuple[int, ...], depth: int) -> int:
         nonlocal node_count
@@ -464,9 +466,8 @@ def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
         label = ",".join(map(str, vec))
         lines.append(f'  s{node_id} [label="{label}"{style}];')
         if depth < target:
-            for *_, child in _successors(vec, n, range(n + 1)):
-                if dist_ideal.get(_canonical(child, n)) == target - depth - 1:
-                    lines.append(f"  s{node_id} -> s{emit(child, depth + 1)};")
+            for child in on_a_win(vec, win - depth - 1):
+                lines.append(f"  s{node_id} -> s{emit(child, depth + 1)};")
         return node_id
 
     emit((0,) * (n + 1), 0)
@@ -525,8 +526,7 @@ def optimal_strategies_through_ideal(
     set exactly.  Both sets are unions of orbits, so comparing orbits
     suffices.  A mid-layer orbit O carries C(O)*C(swap O)/|O| shortest wins.
     """
-    check_int(n, "n", 2)
-    dist, count = _search(n, [(0,) * (n + 1)], budget_states)
+    dist, count = _search(n, budget_states)
     min_win = dist[(n,) * (n + 1)]
     ideal = Counter(_canonical(s.pegs, n) for s in enumerate_ideal_states(n))
     flag_a = all(dist[o] == n + 1 for o in ideal)

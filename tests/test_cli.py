@@ -169,6 +169,26 @@ def test_grammar_error_names_the_type(capsys, text):
     assert err == f"error: cannot parse state from {text!r}\n"
 
 
+def test_leading_dash_is_an_option_without_the_terminator(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["park", "-1,1"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (["park", "--", "-1,1"], "preference vector"),
+        (["map", "pf2th", "--", "-1,1"], "preference vector"),
+        (["map", "th2pf", "--", "-1,0,0"], "state"),
+    ],
+)
+def test_leading_dash_after_the_terminator_reaches_the_grammar(capsys, argv, kind):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: cannot parse {kind} from {argv[-1]!r}\n")
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_map_round_trip_through_the_cli(capsys, n):
     for state in enumerate_ideal_states(n):

@@ -1,11 +1,14 @@
 """States, moves, ideal states and the state-graph searches."""
 
+import hashlib
+import re
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkhanoi import hanoi
 from parkhanoi import (
     BudgetExceededError,
     DomainError,
@@ -227,12 +230,59 @@ def test_search_budget():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_budget_counts_visited_orbits(n):
-    # the search fits a budget of exactly the orbit count and not one less,
-    # and that count is the closed form for orbits of the interior relabelling
+    # every entry point runs the one search, which fits a budget of exactly
+    # the orbit count and not one less, and that count is the closed form
+    # for orbits of the interior relabelling
     orbits = orbit_count(n)
     assert shortest_win_length(n, budget_states=orbits) == 2 * n + 3
     with pytest.raises(BudgetExceededError):
         shortest_win_length(n, budget_states=orbits - 1)
+    for search in (shortest_strategy, dot_ideal_tree, optimal_strategies_through_ideal):
+        search(n, budget_states=orbits)
+        with pytest.raises(BudgetExceededError):
+            search(n, budget_states=orbits - 1)
+
+
+def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
+    built = searches = 0
+    post_init, search = HanoiState.__post_init__, hanoi._search
+
+    def counted_state(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    def counted_search(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    monkeypatch.setattr(HanoiState, "__post_init__", counted_state)
+    monkeypatch.setattr(hanoi, "_search", counted_search)
+    dot_ideal_tree(5)
+    assert (built, searches) == (0, 1)
+
+
+def test_dot_tree_n6_digest():
+    # the goldens stop at n = 5; this pins the larger tree byte for byte
+    digest = hashlib.sha256(dot_ideal_tree(6).encode()).hexdigest()
+    assert digest == "a383c190be4156cc048c92ddda91d27e2eb49e59b0cf6dea5d1d376633bf1a89"
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_dot_tree_leftmost_chain_is_the_solve_walk(n):
+    # the tree and solve keep a child by the same shortest-win rule, and
+    # both list children in (disk, from, to) order
+    dot = dot_ideal_tree(n)
+    labels = dict(re.findall(r'^  s(\d+) \[label="([\d,]+)"', dot, re.MULTILINE))
+    first_child: dict[str, str] = {}
+    for parent, child in re.findall(r"^  s(\d+) -> s(\d+);$", dot, re.MULTILINE):
+        first_child.setdefault(parent, child)
+    chain, node = [], "0"
+    while node is not None:
+        chain.append(labels[node])
+        node = first_child.get(node)
+    assert chain == [s.to_text() for s in shortest_strategy(n).states[: n + 2]]
 
 
 def test_orbit_closed_form_values():
