@@ -3,7 +3,8 @@
 The closed forms and the brute-force scans stay deliberately
 independent so each can certify the other: (n+1)^(n-1) preference
 vectors park successfully, n!(n-1)/2 of them with total displacement
-one, and the same count of ideal tower states (OEIS A001286).
+one, and the same count of ideal tower states (OEIS A001286), which the
+counts find with ``hanoi._ideal_orbits``, a filter over peg orbits.
 
 Enumerators are streamed iterators with deterministic lexicographic
 order; budgets are checked eagerly, before any scanning starts.  The
@@ -21,7 +22,7 @@ from itertools import permutations, product
 from typing import Any
 
 from .errors import BudgetExceededError, check_int
-from .hanoi import enumerate_ideal_states, is_ideal_state
+from .hanoi import _ideal_orbits
 from .parking import PreferenceVector, park
 
 #: Default cap on brute-force scans of [n]^n: n <= 7 (7^7 vectors).
@@ -43,6 +44,7 @@ def lah_count(n: int) -> int:
 
 def _check_scan_budget(n: int, budget_n: int) -> None:
     check_int(n, "n", 1)
+    check_int(budget_n, "budget_n", 1)
     if n > budget_n:
         raise BudgetExceededError(
             f"scanning all {n}^{n} preference vectors for n={n} exceeds the "
@@ -123,33 +125,17 @@ class CountReport:
         return {**asdict(self), "match": self.match}
 
 
-#: Largest n whose ideal states get counted by filtering the whole cube.
-IDEAL_FILTER_MAX_N = 4
-
-
 def brute_force_counts(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> list[CountReport]:
     """Count reports for all_pf, pf_by_displacement(1) and ideal_states.
 
-    One scan of [n]^n tallies both parking-function counts.  It is
-    skipped (brute_force None) when n is over budget, leaving a partial
-    report.  The ideal-state count filters the full (n+1)^(n+1)
-    cube up to n = 4 and uses the constructive enumerator beyond; for
-    n = 1 the game does not exist and the ideal set is empty by
-    convention.
-    """
+    One scan of [n]^n tallies both parking-function counts and one filter of
+    the ideal orbits (``hanoi._ideal_orbits``) counts the ideal states, empty
+    at n = 1.  Over the budget all three are None, a partial report."""
     check_int(n, "n", 1)
+    check_int(budget_n, "budget_n", 1)
     within = n <= budget_n
     tally = Counter(d for _, d in _scan(n)) if within else Counter()
-    if n == 1:
-        ideal_count: int | None = 0
-    elif n <= IDEAL_FILTER_MAX_N:
-        ideal_count = sum(
-            1 for vec in product(range(n + 1), repeat=n + 1) if is_ideal_state(vec)
-        )
-    elif within:
-        ideal_count = sum(1 for _ in enumerate_ideal_states(n))
-    else:
-        ideal_count = None
+    ideal_count = _ideal_orbits(n).total() if within else None
     return [
         CountReport(n, "all_pf", cayley_count(n), tally.total() if within else None),
         CountReport(n, "pf_by_displacement(1)", lah_count(n), tally[1] if within else None),

@@ -329,6 +329,7 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 #   the state has dist_end L-k, the rule ``shortest_strategy`` walks.
 # - Moves onto the empty interior pegs of a vector all land in one orbit,
 #   so the kernel makes one of them, weighted by how many there are.
+# - ``_ideal_orbits`` finds the ideal orbits by filtering canonical vectors.
 
 
 def _canonical(vec: Sequence[int], n: int, swap: bool = False) -> tuple[int, ...]:
@@ -346,6 +347,17 @@ def _canonical(vec: Sequence[int], n: int, swap: bool = False) -> tuple[int, ...
 def _orbit_size(rep: tuple[int, ...], n: int) -> int:
     """Number of vectors in the orbit: ways to place its k interior pegs."""
     return perm(n - 1, len(set(rep) - {0, n}))
+
+
+def _ideal_orbits(n: int) -> Counter[tuple[int, ...]]:
+    """Each ideal orbit's canonical vector with its size: disk n alone on
+    peg 0 and disks 0..n-1 tried on interior pegs, each peg first used after
+    all smaller ones, which is one try per orbit, Bell(n)-1 in all, streamed."""
+    vecs: Iterator[tuple[int, ...]] = iter([()])
+    for _ in range(n):
+        vecs = (r + (p,) for r in vecs for p in range(1, min(max(r, default=0) + 2, n)))
+    ideal = ((*r, 0) for r in vecs)
+    return Counter({v: _orbit_size(v, n) for v in ideal if is_ideal_state(v)})
 
 
 def _successors(
@@ -371,6 +383,7 @@ def _search(
     from the start; raises BudgetExceededError past ``budget_states`` orbits.
     """
     check_int(n, "n", 2)
+    check_int(budget_states, "budget_states", 1)
     dist = {(0,) * (n + 1): 0}
     count = dict.fromkeys(dist, 1)
     # the relabelling of each order in which pegs first appear, built once
@@ -528,7 +541,7 @@ def optimal_strategies_through_ideal(
     """
     dist, count = _search(n, budget_states)
     min_win = dist[(n,) * (n + 1)]
-    ideal = Counter(_canonical(s.pegs, n) for s in enumerate_ideal_states(n))
+    ideal = _ideal_orbits(n)
     flag_a = all(dist[o] == n + 1 for o in ideal)
     flag_b = all(dist[_canonical(o, n, swap=True)] == n + 2 for o in ideal)
     mid_layer = {

@@ -374,9 +374,9 @@ def test_count_notes_unchecked_statistics(capsys, monkeypatch, env, prefix):
         monkeypatch.setenv(name, value)
     code, out, err = run(capsys, *prefix, "count", "--n", "4")
     assert code == 0
-    assert [r["brute_force"] for r in json.loads(out)] == [None, None, 36]
+    assert [r["brute_force"] for r in json.loads(out)] == [None, None, None]
     assert err == (
-        "note: not checked by brute force: all_pf, pf_by_displacement(1); "
+        "note: not checked by brute force: all_pf, pf_by_displacement(1), ideal_states; "
         "n=4 is over the scan budget n <= 3\n"
     )
 

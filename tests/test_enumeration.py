@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from parkhanoi import enumeration, hanoi
 from parkhanoi import (
     BudgetExceededError,
     HanoiMove,
@@ -20,7 +21,10 @@ from parkhanoi import (
     generate_displacement_one,
     is_ideal_state,
     lah_count,
+    optimal_strategies_through_ideal,
+    shortest_win_length,
     starting_state,
+    verify,
     verify_bijection,
 )
 from oracles import pf_with_displacement
@@ -228,6 +232,23 @@ def test_brute_force_counts_partial_over_budget():
     assert reports[0].closed_form == 10**8
 
 
+def test_brute_force_counts_all_none_over_budget():
+    reports = brute_force_counts(4, budget_n=3)
+    assert [r.brute_force for r in reports] == [None, None, None]
+
+
+def test_ideal_counts_skip_the_constructive_enumerator(monkeypatch):
+    # the count row and the ideal layer read the orbit filter, so the
+    # constructive enumerator stays an independent route for the bijection
+    def refuse(n):
+        raise AssertionError("enumerate_ideal_states was called")
+
+    monkeypatch.setattr(hanoi, "enumerate_ideal_states", refuse)
+    monkeypatch.setattr(enumeration, "enumerate_ideal_states", refuse, raising=False)
+    assert all(r.match for r in brute_force_counts(6))
+    assert optimal_strategies_through_ideal(6).ideal_count == lah_count(6)
+
+
 def test_count_report_json():
     obj = brute_force_counts(2)[0].to_json_obj()
     assert obj == {
@@ -268,3 +289,21 @@ def test_integer_validation_messages(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", ["x", 2.5, 0, True], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda b: shortest_win_length(3, budget_states=b), "budget_states"),
+        (lambda b: enumerate_pf(3, budget_n=b), "budget_n"),
+        (lambda b: brute_force_counts(3, budget_n=b), "budget_n"),
+        (lambda b: verify(3, budget_n=b), "budget_n"),
+        (lambda b: verify(3, budget_states=b), "budget_states"),
+    ],
+    ids=["shortest_win_length", "enumerate_pf", "brute_force_counts", "verify-n", "verify-states"],
+)
+def test_library_validates_budgets(call, name, bad):
+    with pytest.raises(ValidationError) as exc:
+        call(bad)
+    assert str(exc.value) == f"{name} must be a positive integer, got {bad!r}"

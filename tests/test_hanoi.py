@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -205,6 +206,20 @@ def test_enumerator_equals_brute_filter(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_enumerator_count(n):
     assert sum(1 for _ in enumerate_ideal_states(n)) == lah_count(n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_ideal_orbits_are_the_enumerated_orbits(n):
+    # the orbit filter and the constructive enumerator share no code
+    enumerated = (hanoi._canonical(s.pegs, n) for s in enumerate_ideal_states(n))
+    assert hanoi._ideal_orbits(n) == Counter(enumerated)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ideal_orbits_total_is_lah(n):
+    orbits = hanoi._ideal_orbits(n)
+    assert orbits.total() == lah_count(n)
+    assert (orbits == Counter()) == (n == 1)
 
 
 def test_enumerate_rejects_small_n():
