@@ -350,9 +350,9 @@ def _orbit_size(rep: tuple[int, ...], n: int) -> int:
 
 
 def _ideal_orbits(n: int) -> Counter[tuple[int, ...]]:
-    """Each ideal orbit's canonical vector with its size: disk n alone on
-    peg 0 and disks 0..n-1 tried on interior pegs, each peg first used after
-    all smaller ones, which is one try per orbit, Bell(n)-1 in all, streamed."""
+    """Each ideal orbit's canonical vector mapped to its size.  Disk n sits
+    alone on peg 0, so only disks 0..n-1 are tried, on interior pegs in
+    first-appearance order: one try per orbit, Bell(n)-1 in all, streamed."""
     vecs: Iterator[tuple[int, ...]] = iter([()])
     for _ in range(n):
         vecs = (r + (p,) for r in vecs for p in range(1, min(max(r, default=0) + 2, n)))
