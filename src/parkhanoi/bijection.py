@@ -1,11 +1,11 @@
 """The explicit one-to-one map between ideal tower states and
 displacement-one parking functions.
 
-An ideal state (x_0, ..., x_{n-1}, 0) with doubled peg j maps to the
-preference vector whose (i+1)-th entry is x_i, shifted up by one when
-x_i > j.  The doubled peg becomes the doubled preference, so j is
-preserved.  The inverse undoes the shift: entries above j+1 drop by one
-(no entry ever equals j+1, since the single preferences skip it).
+An ideal state (x_0, ..., x_{n-1}, 0) with doubled peg j maps to the preference
+vector whose (i+1)-th entry is x_i, shifted up by one when x_i > j.  The doubled
+peg becomes the doubled preference, so j is preserved.  The inverse undoes the
+shift: entries above j+1 drop by one (no entry ever equals j+1, since the single
+preferences skip it).  Each map reads j in the one pass that checks its input.
 
 ``verify_bijection`` checks the map exhaustively at one size; ``verify``
 adds the brute-force counts and the ideal-layer analysis, the whole battery.
@@ -29,6 +29,7 @@ from .errors import check_int
 from .hanoi import (
     DEFAULT_STATE_BUDGET,
     HanoiState,
+    _doubled_peg,
     as_state,
     enumerate_ideal_states,
     ideal_witness,
@@ -44,7 +45,7 @@ def th_to_pf(state: HanoiState | Sequence[int]) -> PreferenceVector:
     when the input is not ideal.
     """
     state = as_state(state)
-    j = ideal_witness(state).doubled_peg
+    j = _doubled_peg(state)
     prefs = tuple(p + 1 if p > j else p for p in state.pegs[:-1])
     return PreferenceVector(prefs)
 
@@ -84,13 +85,8 @@ class BijectionRecord:
 def make_record(state: HanoiState | Sequence[int]) -> BijectionRecord:
     """Map an ideal state and bundle both sides with the shared value."""
     state = as_state(state)
-    witness = ideal_witness(state)
-    return BijectionRecord(
-        n=state.n,
-        ideal=state,
-        pf=th_to_pf(state),
-        doubled_value=witness.doubled_peg,
-    )
+    j = ideal_witness(state).doubled_peg
+    return BijectionRecord(n=state.n, ideal=state, pf=th_to_pf(state), doubled_value=j)
 
 
 @dataclass(frozen=True)
@@ -132,33 +128,36 @@ def verify_bijection(
 ) -> BijectionReport:
     """Exhaustively verify the bijection at size n.
 
-    Enumerates the ideal states, maps them, and checks: the map is
-    injective; its image equals the constructively generated
-    displacement-one set and (when ``check_image``) the brute-force
-    scan of [n]^n; both round trips are the identity; and both sides
-    have n!(n-1)/2 elements.  n = 1 passes vacuously on empty sets.
+    Streams the ideal states and the constructive displacement-one set
+    once each, keeping one set per side, and checks: the map is injective;
+    its image equals the constructive set and (when ``check_image``) the
+    brute-force scan of [n]^n; both round trips are the identity; and both
+    streams yield n!(n-1)/2 items.  n = 1 passes vacuously on empty streams.
     """
     check_int(n, "n", 1)
+    check_int(budget_n, "budget_n", 1)
     if check_image:
         _check_scan_budget(n, budget_n)
-    ideals = [] if n == 1 else list(enumerate_ideal_states(n))
-    structural_pf = list(generate_displacement_one(n))
-    mapped = [th_to_pf(x) for x in ideals]
-    image = set(mapped)
-    injective = len(image) == len(mapped)
-    structural_match = image == set(structural_pf)
+    image: set[PreferenceVector] = set()
+    structural: set[PreferenceVector] = set()
+    ideal_count = pf_count = 0
+    round_states = round_prefs = True
+    for ideal_count, x in enumerate([] if n == 1 else enumerate_ideal_states(n), 1):
+        image.add(a := th_to_pf(x))
+        round_states = round_states and pf_to_th(a) == x
+    for pf_count, a in enumerate(generate_displacement_one(n), 1):
+        structural.add(a)
+        round_prefs = round_prefs and th_to_pf(pf_to_th(a)) == a
     brute_match: bool | None = None
     if check_image:
         brute_match = image == set(enumerate_pf_displacement(n, 1, budget_n=budget_n))
-    round_states = all(pf_to_th(a) == x for x, a in zip(ideals, mapped))
-    round_prefs = all(th_to_pf(pf_to_th(a)) == a for a in structural_pf)
     return BijectionReport(
         n=n,
-        ideal_count=len(ideals),
-        pf_count=len(structural_pf),
+        ideal_count=ideal_count,
+        pf_count=pf_count,
         expected_count=lah_count(n),
-        injective=injective,
-        structural_image_matches=structural_match,
+        injective=len(image) == ideal_count,
+        structural_image_matches=image == structural,
         brute_image_matches=brute_match,
         round_trip_states_ok=round_states,
         round_trip_prefs_ok=round_prefs,
@@ -171,6 +170,7 @@ def verify(
     """The whole battery at size n as one JSON object: the bijection, count and
     ideal-layer reports (None for n = 1), one ``failures`` entry per failed
     check, and ``ok``.  Raises BudgetExceededError over either budget before any scan."""
+    check_int(budget_states, "budget_states", 1)
     _check_scan_budget(n, budget_n)
     layer = None if n < 2 else optimal_strategies_through_ideal(n, budget_states=budget_states)
     bijection = verify_bijection(n, budget_n=budget_n).to_json_obj()

@@ -195,8 +195,9 @@ class Strategy:
 # --- ideal states -----------------------------------------------------------
 
 
-def _ideal_violation(state: HanoiState) -> str | None:
-    """First broken ideal-state condition, or None when the state is ideal."""
+def _ideal_violation(state: HanoiState) -> str | int:
+    """First broken ideal-state condition as a message, or the doubled
+    peg j (an int) when the state is ideal, in one pass."""
     x = state.pegs
     n = state.n
     if x[n] != 0:
@@ -215,7 +216,7 @@ def _ideal_violation(state: HanoiState) -> str | None:
             f"the singly covered pegs are {sorted(rest)}; they must be exactly the "
             f"other interior pegs {sorted(expected)}"
         )
-    return None
+    return j
 
 
 def is_ideal_state(state: HanoiState | Sequence[int]) -> bool:
@@ -225,7 +226,7 @@ def is_ideal_state(state: HanoiState | Sequence[int]) -> bool:
     peg, destination peg empty, every interior peg covered and exactly
     one interior peg holding two disks.
     """
-    return _ideal_violation(as_state(state)) is None
+    return not isinstance(_ideal_violation(as_state(state)), str)
 
 
 @dataclass(frozen=True)
@@ -275,14 +276,18 @@ class IdealStateWitness:
         return HanoiState(tuple(pegs))
 
 
+def _doubled_peg(state: HanoiState) -> int:
+    """The doubled peg of an ideal state; raises DomainError naming the first broken condition."""
+    found = _ideal_violation(state)
+    if isinstance(found, str):
+        raise DomainError(f"not an ideal state: {found}")
+    return found
+
+
 def ideal_witness(state: HanoiState | Sequence[int]) -> IdealStateWitness:
     """Decompose an ideal state; raises DomainError naming the first broken condition."""
     state = as_state(state)
-    violation = _ideal_violation(state)
-    if violation is not None:
-        raise DomainError(f"not an ideal state: {violation}")
-    counts = Counter(state.pegs[:-1])
-    j = next(p for p, c in counts.items() if c == 2)
+    j = _doubled_peg(state)
     k, kp = (d for d, p in enumerate(state.pegs[:-1]) if p == j)
     singles = tuple((d, p) for d, p in enumerate(state.pegs[:-1]) if p != j)
     return IdealStateWitness(j, (k, kp), singles)

@@ -134,16 +134,9 @@ def displacement(alpha: PreferenceVector | Sequence[int]) -> int:
     return outcome.total_displacement
 
 
-def displacement_one_violation(alpha: PreferenceVector | Sequence[int]) -> str | None:
-    """Why alpha fails the displacement-one shape, or None if it has it.
-
-    The shape: exactly one value j <= n-1 appears exactly twice, and the
-    remaining n-2 entries are exactly the spots 1..n other than j and
-    j+1, each once.  Vectors of this shape are precisely the parking
-    functions of total displacement one; the check is purely structural
-    and never simulates any parking.
-    """
-    alpha = as_preference_vector(alpha)
+def _shape_violation(alpha: PreferenceVector) -> str | int:
+    """First broken displacement-one shape condition as a message, or the
+    doubled preference j (an int) when alpha has the shape, in one pass."""
     n = alpha.n
     counts = Counter(alpha.prefs)
     repeated = sorted(v for v, c in counts.items() if c >= 2)
@@ -159,7 +152,20 @@ def displacement_one_violation(alpha: PreferenceVector | Sequence[int]) -> str |
             f"the single preferences are {sorted(rest)}; they must be exactly "
             f"{sorted(expected)} (every spot except {j} and {j + 1})"
         )
-    return None
+    return j
+
+
+def displacement_one_violation(alpha: PreferenceVector | Sequence[int]) -> str | None:
+    """Why alpha fails the displacement-one shape, or None if it has it.
+
+    The shape: exactly one value j <= n-1 appears exactly twice, and the
+    remaining n-2 entries are exactly the spots 1..n other than j and
+    j+1, each once.  Vectors of this shape are precisely the parking
+    functions of total displacement one; the check is purely structural
+    and never simulates any parking.
+    """
+    found = _shape_violation(as_preference_vector(alpha))
+    return found if isinstance(found, str) else None
 
 
 def is_displacement_one_characterized(alpha: PreferenceVector | Sequence[int]) -> bool:
@@ -173,9 +179,7 @@ def doubled_preference(alpha: PreferenceVector | Sequence[int]) -> int:
     Only defined for displacement-one parking functions; raises
     DomainError naming the first violated shape condition otherwise.
     """
-    alpha = as_preference_vector(alpha)
-    violation = displacement_one_violation(alpha)
-    if violation is not None:
-        raise DomainError(f"not a displacement-one parking function: {violation}")
-    counts = Counter(alpha.prefs)
-    return next(v for v, c in counts.items() if c == 2)
+    found = _shape_violation(as_preference_vector(alpha))
+    if isinstance(found, str):
+        raise DomainError(f"not a displacement-one parking function: {found}")
+    return found

@@ -1,15 +1,23 @@
 """The explicit map between ideal states and displacement-one parking functions."""
 
+import hashlib
 import json
+import tracemalloc
+from itertools import chain, product
 
 import pytest
 
+import parkhanoi
 from parkhanoi import (
     DomainError,
+    IdealStateWitness,
+    ValidationError,
     displacement,
+    displacement_one_violation,
     doubled_preference,
     enumerate_ideal_states,
     ideal_witness,
+    is_ideal_state,
     lah_count,
     make_record,
     pf_to_th,
@@ -120,3 +128,151 @@ def test_verify_lists_each_failed_check(monkeypatch, kinds):
 def test_verify_is_what_the_cli_prints(capsys, n):
     assert main(["--format", "json", "verify", "--n", str(n)]) == 0
     assert capsys.readouterr().out == json.dumps(verify(n)) + "\n"
+
+
+# --- each map finds j in the pass that checks its input --------------------
+
+
+def test_maps_build_no_witness(monkeypatch):
+    built = []
+    real = IdealStateWitness.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(IdealStateWitness, "__post_init__", counting)
+    for state in enumerate_ideal_states(4):
+        pf_to_th(th_to_pf(state))
+    assert built == []
+    make_record((2, 2, 1, 0))
+    assert len(built) == 1
+
+
+@pytest.fixture
+def counters_made(monkeypatch):
+    """Patch ``Counter`` in both shape-checking modules; the list records each one built."""
+    made = []
+    for module in (parkhanoi.hanoi, parkhanoi.parking):
+
+        def spy(*args, _real=module.Counter):
+            made.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "Counter", spy)
+    return made
+
+
+@pytest.mark.parametrize(
+    "call, arg",
+    [
+        (ideal_witness, (1, 2, 1, 0)),
+        (th_to_pf, (1, 2, 1, 0)),
+        (doubled_preference, (1, 3, 1)),
+        (pf_to_th, (1, 3, 1)),
+    ],
+    ids=["ideal_witness", "th_to_pf", "doubled_preference", "pf_to_th"],
+)
+def test_one_counter_per_call(counters_made, call, arg):
+    call(arg)
+    assert len(counters_made) == 1
+
+
+def outcome(call, value):
+    """What ``call(value)`` returns, or the text of the DomainError it raises."""
+    try:
+        return call(value)
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_tower_side_agrees_over_the_cube(n):
+    for vec in product(range(n + 1), repeat=n + 1):
+        witness = outcome(ideal_witness, vec)
+        image = outcome(th_to_pf, vec)
+        if isinstance(witness, str):
+            assert image == witness and not is_ideal_state(vec)
+        else:
+            assert doubled_preference(image) == witness.doubled_peg and is_ideal_state(vec)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_parking_side_agrees_over_the_cube(n):
+    for vec in product(range(1, n + 1), repeat=n):
+        j = outcome(doubled_preference, vec)
+        state = outcome(pf_to_th, vec)
+        violation = displacement_one_violation(vec)
+        if isinstance(j, str):
+            assert state == j == f"not a displacement-one parking function: {violation}"
+        else:
+            assert violation is None and ideal_witness(state).doubled_peg == j
+
+
+def outcomes_digest(call, vectors):
+    """sha256 over one line per vector: the JSON record or text it maps to, or the error."""
+    digest = hashlib.sha256()
+    for vec in vectors:
+        try:
+            found = call(vec)
+            line = json.dumps(found.to_json_obj()) if call is make_record else found.to_text()
+        except DomainError as exc:
+            line = f"DomainError: {exc}"
+        digest.update((line + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_map_outputs_and_errors_are_pinned():
+    # every record and every DomainError text, byte for byte, as the two-pass maps produced them
+    cube = chain.from_iterable(product(range(n + 1), repeat=n + 1) for n in range(2, 5))
+    assert outcomes_digest(make_record, cube) == (
+        "b17b8c0cfef05875352e3f26a9b791b51846e751db54f670257f00ab67a02154"
+    )
+    square = chain.from_iterable(product(range(1, n + 1), repeat=n) for n in range(1, 6))
+    assert outcomes_digest(pf_to_th, square) == (
+        "39edd068e20b84934b160005cd794edb62bc66461f6e22f865b8f73265776f2d"
+    )
+
+
+# --- verify_bijection streams both families ---------------------------------
+
+
+def test_verify_bijection_streams():
+    # holding either family as a list at n = 7 peaks above 9 MiB
+    tracemalloc.start()
+    try:
+        report = verify_bijection(7, check_image=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("name", ["enumerate_ideal_states", "generate_displacement_one"])
+def test_verify_bijection_counts_a_duplicate(monkeypatch, name):
+    real = getattr(parkhanoi.bijection, name)
+
+    def doubled_first(n):
+        items = real(n)
+        first = next(items)
+        return chain([first, first], items)
+
+    monkeypatch.setattr(parkhanoi.bijection, name, doubled_first)
+    report = verify_bijection(4)
+    count = report.ideal_count if name == "enumerate_ideal_states" else report.pf_count
+    assert count == lah_count(4) + 1
+    assert report.injective is (name != "enumerate_ideal_states")
+    assert report.structural_image_matches and report.brute_image_matches
+    assert not report.ok
+
+
+@pytest.mark.parametrize("bad", ["x", 2.5, 0, True], ids=repr)
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_checks_budgets_it_never_spends(n, bad):
+    with pytest.raises(ValidationError) as exc:
+        verify(n, budget_states=bad)
+    assert str(exc.value) == f"budget_states must be a positive integer, got {bad!r}"
+    with pytest.raises(ValidationError) as exc:
+        verify_bijection(n, budget_n=bad, check_image=False)
+    assert str(exc.value) == f"budget_n must be a positive integer, got {bad!r}"
