@@ -8,8 +8,9 @@ counts find with ``hanoi._ideal_orbits``, a filter over peg orbits.
 
 Enumerators are streamed iterators with deterministic lexicographic
 order; budgets are checked eagerly, before any scanning starts.  The
-filtering enumerators and the counts share one scan of [n]^n that parks
-each vector once; the constructive ones place entries depth first.
+filtering enumerators and the counts share one depth-first walk over
+the prefixes of [n]^n that parks each car once per prefix; the
+constructive ones place entries depth first.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from itertools import permutations, product
+from itertools import permutations
 from typing import Any
 
 from .errors import BudgetExceededError, check_int
 from .hanoi import _ideal_orbits
-from .parking import PreferenceVector, park
+from .parking import PreferenceVector
 
 #: Default cap on brute-force scans of [n]^n: n <= 7 (7^7 vectors).
 DEFAULT_SCAN_MAX_N = 7
@@ -53,26 +54,48 @@ def _check_scan_budget(n: int, budget_n: int) -> None:
 
 
 def enumerate_pf(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> Iterator[PreferenceVector]:
-    """All parking functions of length n, lexicographically, by scanning [n]^n."""
+    """All parking functions of length n, lexicographically, streamed from
+    the prefix-shared parking walk over [n]^n (see ``_scan``)."""
     _check_scan_budget(n, budget_n)
     return (pv for pv, _ in _scan(n))
 
 
 def _scan(n: int) -> Iterator[tuple[PreferenceVector, int]]:
     """Each parking function of length n with its total displacement,
-    lexicographically: one pass over [n]^n, one simulation per vector."""
-    for prefs in product(range(1, n + 1), repeat=n):
-        pv = PreferenceVector(prefs)
-        outcome = park(pv)
-        if outcome.succeeded:
-            yield pv, outcome.total_displacement
+    lexicographically, by an iterative depth-first walk over prefixes.
+
+    Each car parks once per prefix and is unparked on backtracking.  A car
+    that rolls off the end fails every extension of its prefix and every
+    larger preference (those spots are full too), so the walk backtracks
+    at once.  Only leaves that park build a ``PreferenceVector``."""
+    occupied = bytearray(n + 2)  # spots 1..n; 0 (unplaced) and n+1 (end of street) stay free
+    prefs, spots = [0] * n, [0] * n  # per car; 0 means not placed yet
+    total = [0] * (n + 1)  # total[i]: displacement of cars before car i
+    car = 0
+    while car >= 0:
+        occupied[spots[car]] = 0
+        preferred = prefs[car] = prefs[car] + 1
+        spot = preferred
+        while occupied[spot]:
+            spot += 1
+        if spot > n:
+            prefs[car] = spots[car] = 0
+            car -= 1
+            continue
+        occupied[spot] = 1
+        spots[car] = spot
+        total[car + 1] = total[car] + spot - preferred
+        if car == n - 1:
+            yield PreferenceVector(tuple(prefs)), total[n]
+        else:
+            car += 1
 
 
 def enumerate_pf_displacement(
     n: int, d: int, *, budget_n: int = DEFAULT_SCAN_MAX_N
 ) -> Iterator[PreferenceVector]:
     """Parking functions of length n with total displacement exactly d,
-    lexicographically (a filtered scan).
+    lexicographically, filtered from the prefix-shared parking walk.
 
     Any d >= 0 is accepted; beyond the maximum n(n-1)/2 the stream is
     simply empty.

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from parkhanoi import (
     BudgetExceededError,
     HanoiMove,
     ParkingOutcome,
+    PreferenceVector,
     ValidationError,
     brute_force_counts,
     cayley_count,
@@ -22,12 +24,13 @@ from parkhanoi import (
     is_ideal_state,
     lah_count,
     optimal_strategies_through_ideal,
+    park,
     shortest_win_length,
     starting_state,
     verify,
     verify_bijection,
 )
-from oracles import pf_with_displacement
+from oracles import displacement_naive, pf_with_displacement
 
 
 def test_enumerate_pf_small():
@@ -107,23 +110,63 @@ def test_partition_by_displacement(n):
     assert sizes[-1] == 1  # the all-ones vector alone has the maximum
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of ParkingOutcome and PreferenceVector constructions."""
+    built = Counter()
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            built[cls] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(ParkingOutcome, "__init__")
+    count(PreferenceVector, "__post_init__")
+    return built
+
+
 @pytest.mark.parametrize(
     "scan",
     [lambda: brute_force_counts(5), lambda: list(enumerate_pf_displacement(5, 1))],
     ids=["brute_force_counts", "enumerate_pf_displacement"],
 )
-def test_scan_simulates_each_vector_once(monkeypatch, scan):
-    simulations = 0
-    init = ParkingOutcome.__init__
-
-    def counted(self, *args, **kwargs):
-        nonlocal simulations
-        simulations += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ParkingOutcome, "__init__", counted)
+def test_scan_decides_each_vector_once(builds, scan):
+    # no per-vector simulation, one validated vector per parking function
+    # and none for a vector that fails
     scan()
-    assert simulations == 5**5
+    assert builds[ParkingOutcome] == 0
+    assert builds[PreferenceVector] == cayley_count(5)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scan_matches_two_independent_routes(n):
+    # the prefix walk against a per-vector park scan and the naive oracle
+    walked = [(pv.prefs, d) for pv, d in enumeration._scan(n)]
+    cube = list(product(range(1, n + 1), repeat=n))
+    outcomes = ((prefs, park(prefs)) for prefs in cube)
+    by_park = [(prefs, o.total_displacement) for prefs, o in outcomes if o.succeeded]
+    naive = ((prefs, displacement_naive(prefs)) for prefs in cube)
+    by_oracle = [(prefs, d) for prefs, d in naive if d is not None]
+    assert walked == by_park
+    assert walked == by_oracle
+
+
+def test_scan_n1_is_the_single_vector():
+    assert [(pv.prefs, d) for pv, d in enumeration._scan(1)] == [((1,), 0)]
+
+
+def test_scan_needs_no_recursion_depth():
+    # a recursive walk over 1500 cars would pass the default recursion limit
+    assert next(enumerate_pf(1500, budget_n=1500)).prefs == (1,) * 1500
+
+
+def test_scan_streams_one_vector_at_a_time(builds):
+    next(enumerate_pf(8, budget_n=8))
+    assert builds[PreferenceVector] == 1
 
 
 def test_partition_law_n6_single_scan():
