@@ -13,6 +13,7 @@ adds the brute-force counts and the ideal-layer analysis, the whole battery.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from typing import Any
@@ -20,7 +21,8 @@ from typing import Any
 from .enumeration import (
     DEFAULT_SCAN_MAX_N,
     _check_scan_budget,
-    brute_force_counts,
+    _count_reports,
+    _scan,
     enumerate_pf_displacement,
     generate_displacement_one,
     lah_count,
@@ -136,21 +138,24 @@ def verify_bijection(
     """
     check_int(n, "n", 1)
     check_int(budget_n, "budget_n", 1)
-    if check_image:
-        _check_scan_budget(n, budget_n)
+    if not check_image:
+        return _bijection_report(n, None)
+    return _bijection_report(n, set(enumerate_pf_displacement(n, 1, budget_n=budget_n)))
+
+
+def _bijection_report(n: int, scanned: set[PreferenceVector] | None) -> BijectionReport:
+    """``verify_bijection``'s report, with the image checked against the
+    scanned displacement-one set, or not checked when it is None."""
     image: set[PreferenceVector] = set()
     structural: set[PreferenceVector] = set()
     ideal_count = pf_count = 0
     round_states = round_prefs = True
-    for ideal_count, x in enumerate([] if n == 1 else enumerate_ideal_states(n), 1):
+    for ideal_count, x in enumerate(enumerate_ideal_states(n), 1):
         image.add(a := th_to_pf(x))
         round_states = round_states and pf_to_th(a) == x
     for pf_count, a in enumerate(generate_displacement_one(n), 1):
         structural.add(a)
         round_prefs = round_prefs and th_to_pf(pf_to_th(a)) == a
-    brute_match: bool | None = None
-    if check_image:
-        brute_match = image == set(enumerate_pf_displacement(n, 1, budget_n=budget_n))
     return BijectionReport(
         n=n,
         ideal_count=ideal_count,
@@ -158,7 +163,7 @@ def verify_bijection(
         expected_count=lah_count(n),
         injective=len(image) == ideal_count,
         structural_image_matches=image == structural,
-        brute_image_matches=brute_match,
+        brute_image_matches=None if scanned is None else image == scanned,
         round_trip_states_ok=round_states,
         round_trip_prefs_ok=round_prefs,
     )
@@ -169,12 +174,20 @@ def verify(
 ) -> dict[str, Any]:
     """The whole battery at size n as one JSON object: the bijection, count and
     ideal-layer reports (None for n = 1), one ``failures`` entry per failed
-    check, and ``ok``.  Raises BudgetExceededError over either budget before any scan."""
+    check, and ``ok``.  Raises BudgetExceededError over either budget before any
+    scan.  One scan of [n]^n serves both the bijection's image check and the
+    counts."""
     check_int(budget_states, "budget_states", 1)
     _check_scan_budget(n, budget_n)
     layer = None if n < 2 else optimal_strategies_through_ideal(n, budget_states=budget_states)
-    bijection = verify_bijection(n, budget_n=budget_n).to_json_obj()
-    counts = brute_force_counts(n, budget_n=budget_n)
+    tally: Counter[int] = Counter()
+    ones: set[PreferenceVector] = set()
+    for alpha, d in _scan(n):
+        tally[d] += 1
+        if d == 1:
+            ones.add(alpha)
+    bijection = _bijection_report(n, ones).to_json_obj()
+    counts = _count_reports(n, tally)
     layer_obj = None if layer is None else layer.to_json_obj()
     failures = [] if bijection["ok"] else [
         {"check": "bijection", "expected": {"ok": True}, "actual": bijection}

@@ -156,11 +156,15 @@ def brute_force_counts(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> list[Co
     at n = 1.  Over the budget all three are None, a partial report."""
     check_int(n, "n", 1)
     check_int(budget_n, "budget_n", 1)
-    within = n <= budget_n
-    tally = Counter(d for _, d in _scan(n)) if within else Counter()
-    ideal_count = _ideal_orbits(n).total() if within else None
+    return _count_reports(n, Counter(d for _, d in _scan(n)) if n <= budget_n else None)
+
+
+def _count_reports(n: int, tally: Counter[int] | None) -> list[CountReport]:
+    """The three count reports from a tally of ``_scan``'s displacements,
+    or partial ones (no tally, no ideal filter) when the scan was skipped."""
+    ideal_count = None if tally is None else _ideal_orbits(n).total()
     return [
-        CountReport(n, "all_pf", cayley_count(n), tally.total() if within else None),
-        CountReport(n, "pf_by_displacement(1)", lah_count(n), tally[1] if within else None),
+        CountReport(n, "all_pf", cayley_count(n), None if tally is None else tally.total()),
+        CountReport(n, "pf_by_displacement(1)", lah_count(n), None if tally is None else tally[1]),
         CountReport(n, "ideal_states", lah_count(n), ideal_count),
     ]

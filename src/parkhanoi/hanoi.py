@@ -16,7 +16,10 @@ the searches below verify exhaustively that the minimum win takes 2n+3
 moves and that every minimum win sits in an ideal state right after
 move n+1.  They share one breadth-first search from the start over the
 orbits of the interior-peg relabelling, which fixes the start and the
-end, and cap the orbits it visits by a budget.
+end, and cap the orbits it visits by a budget.  The ideal-layer analysis
+and ``shortest_strategy`` cut that search at depth n+2 and meet in the
+middle through the 0/n peg swap; ``shortest_win_length`` and
+``dot_ideal_tree`` search the whole graph.
 
 States, moves and strategies are immutable values; all functions are
 pure, and the searches are deterministic.
@@ -248,20 +251,12 @@ class IdealStateWitness:
         object.__setattr__(
             self, "singleton_assignment", tuple(sorted(self.singleton_assignment))
         )
-        n = len(self.singleton_assignment) + 2
-        k, kp = self.doubled_disks
-        if k == kp:
-            raise ValidationError("the doubled disks must be distinct")
-        if not 1 <= self.doubled_peg <= n - 1:
-            raise ValidationError(f"doubled peg {self.doubled_peg} is not interior (1..{n - 1})")
-        disks = {k, kp} | {d for d, _ in self.singleton_assignment}
-        if disks != set(range(n)):
+        disks = [*self.doubled_disks, *(d for d, _ in self.singleton_assignment)]
+        if sorted(disks) != list(range(self.n)):
             raise ValidationError("witness disks must be exactly 0..n-1, each once")
-        pegs = [p for _, p in self.singleton_assignment]
-        if sorted(pegs) != sorted(set(range(1, n)) - {self.doubled_peg}):
-            raise ValidationError(
-                "singleton pegs must cover the other interior pegs exactly once"
-            )
+        found = _ideal_violation(self.to_state())
+        if isinstance(found, str):
+            raise ValidationError(f"not an ideal state: {found}")
 
     @property
     def n(self) -> int:
@@ -285,12 +280,23 @@ def _doubled_peg(state: HanoiState) -> int:
 
 
 def ideal_witness(state: HanoiState | Sequence[int]) -> IdealStateWitness:
-    """Decompose an ideal state; raises DomainError naming the first broken condition."""
+    """Decompose an ideal state; raises DomainError naming the first broken condition.
+
+    The witness's own check decides: a state with disk n on the source and
+    a peg holding exactly two of the disks 0..n-1 splits into a witness
+    whose state is this one; any other state is reported at once.
+    """
     state = as_state(state)
-    j = _doubled_peg(state)
-    k, kp = (d for d, p in enumerate(state.pegs[:-1]) if p == j)
-    singles = tuple((d, p) for d, p in enumerate(state.pegs[:-1]) if p != j)
-    return IdealStateWitness(j, (k, kp), singles)
+    *x, last = state.pegs
+    j = next((p for p in x if x.count(p) == 2), None)
+    if last != 0 or j is None:
+        raise DomainError(f"not an ideal state: {_ideal_violation(state)}")
+    pair = tuple(d for d, p in enumerate(x) if p == j)
+    singles = tuple((d, p) for d, p in enumerate(x) if p != j)
+    try:
+        return IdealStateWitness(j, pair, singles)
+    except ValidationError as exc:
+        raise DomainError(str(exc)) from None
 
 
 def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
@@ -299,9 +305,10 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
     Built directly, not by filtering all (n+1)^(n+1) vectors: disks 0..n-1
     are placed depth first, each on a new interior peg until one peg
     repeats, then the unused interior pegs follow in every order.  Yields
-    n!(n-1)/2 states without storing them.
+    n!(n-1)/2 states without storing them, none at n = 1, where the game
+    has no interior peg.
     """
-    check_int(n, "n", 2)
+    check_int(n, "n", 1)
 
     def place(prefix: tuple[int, ...], unused: list[int]) -> Iterator[HanoiState]:
         for p in range(1, n):
@@ -331,7 +338,13 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 # - Swapping pegs 0 and n maps the start to the end and commutes with the
 #   relabelling, so dist_end(v) = dist_start(swap v) and one search from
 #   the start serves both ends: k moves into a shortest win of length L,
-#   the state has dist_end L-k, the rule ``shortest_strategy`` walks.
+#   the state has dist_end L-k, the rule ``dot_ideal_tree`` follows.
+# - Meeting in the middle needs only depth n+2.  Every visited pair v,
+#   swap v is a win of d(v) + d(swap v) moves, and a shortest win of
+#   L <= 2n+4 moves passes a v with d(v) = floor(L/2) and d(swap v) =
+#   ceil(L/2), both within the cut, so the minimum over pairs is exactly L
+#   (``_meet_in_the_middle``).  The 2n+3-move win of ``_win_moves`` shows
+#   that L <= 2n+4 holds, and where no pair exists the analysis fails.
 # - Moves onto the empty interior pegs of a vector all land in one orbit,
 #   so the kernel makes one of them, weighted by how many there are.
 # - ``_ideal_orbits`` finds the ideal orbits by filtering canonical vectors.
@@ -380,12 +393,14 @@ def _successors(
 
 
 def _search(
-    n: int, budget_states: int
+    n: int, budget_states: int, depth: int | None = None
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
-    """Layered breadth-first search over orbits from the start.
+    """Layered breadth-first search over orbits from the start, to ``depth``
+    moves, or over the whole graph when ``depth`` is None.
 
-    Returns each orbit's distance and orbit-total count of shortest paths
-    from the start; raises BudgetExceededError past ``budget_states`` orbits.
+    Returns each visited orbit's distance and orbit-total count of shortest
+    paths from the start, exact at every depth reached; raises
+    BudgetExceededError past ``budget_states`` orbits.
     """
     check_int(n, "n", 2)
     check_int(budget_states, "budget_states", 1)
@@ -395,7 +410,7 @@ def _search(
     labels: dict[tuple[int, ...], Callable[[int], int]] = {}
     frontier = list(dist)
     level = 0
-    while frontier:
+    while frontier and level != depth:
         level += 1
         nxt = []
         for u in frontier:
@@ -432,35 +447,77 @@ def shortest_win_length(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) ->
     return dist[(n,) * (n + 1)]
 
 
-def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Strategy:
-    """One minimum-length winning strategy.
+def _meet_in_the_middle(n: int, budget_states: int) -> tuple[
+    dict[tuple[int, ...], int],
+    dict[tuple[int, ...], int],
+    dict[tuple[int, ...], tuple[int, ...]],
+    int | None,
+]:
+    """The search cut at depth n+2, met in the middle through the 0/n swap.
 
-    Deterministic: walks from the start always taking the lexicographically
-    smallest (disk, from, to) move that stays on a shortest path to the end.
+    Returns its distances and counts, each visited orbit whose swap was
+    visited too mapped to that swap, and the minimum win length: the least
+    d(v) + d(swap v) over those pairs, or None when there is none, so no
+    win takes 2n+4 moves or fewer.
     """
-    dist, _ = _search(n, budget_states)
+    dist, count = _search(n, budget_states, n + 2)
+    pairs = {o: s for o in dist if (s := _canonical(o, n, swap=True)) in dist}
+    min_win = min((dist[o] + dist[s] for o, s in pairs.items()), default=None)
+    return dist, count, pairs, min_win
+
+
+def _win_moves(n: int) -> list[tuple[int, int, int]]:
+    """(disk, from, to) of a 2n+3-move win.  For n >= 3 it parks disks 0
+    and 1 on peg 2 and disk 2 on peg 1, spreads disks 3..n-1 one per peg
+    (ideal after move n+1), sends disk n home, clears disk 0 onto the empty
+    source and gathers the rest on peg n, largest first."""
+    if n == 2:
+        return [(0, 0, 2), (1, 0, 1), (0, 2, 1), (2, 0, 2), (0, 1, 0), (1, 1, 2), (0, 0, 2)]
+    return [
+        (0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 0, 1),
+        *((d, 0, d) for d in range(3, n + 1)),
+        (0, 2, 0),
+        *((d, d, n) for d in range(n - 1, 2, -1)),
+        (2, 1, n), (1, 2, n), (0, 0, n),
+    ]
+
+
+def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Strategy:
+    """One minimum-length winning strategy, built and then certified.
+
+    The moves are the fixed 2n+3-move pattern of ``_win_moves``, equal to
+    the lexicographically smallest shortest win wherever that was walked
+    on the full search (n = 2..8).  ``Strategy`` replays them, so each move
+    is legal; the search cut at depth n+2 then certifies that they win in
+    exactly the minimum number of moves.  Raises DomainError if either
+    check fails.
+    """
+    *_, min_win = _meet_in_the_middle(n, budget_states)
     vec = (0,) * (n + 1)
     states = [HanoiState(vec)]
     moves: list[HanoiMove] = []
-    remaining = dist[_canonical(vec, n, swap=True)]
-    while remaining > 0:
-        remaining -= 1
-        disk, from_peg, to_peg, vec = next(
-            step
-            for step in _successors(vec, n, range(n + 1))
-            if dist[_canonical(step[3], n, swap=True)] == remaining
-        )
+    for disk, from_peg, to_peg in _win_moves(n):
+        vec = vec[:disk] + (to_peg,) + vec[disk + 1 :]
         moves.append(HanoiMove(disk, from_peg, to_peg))
         states.append(HanoiState(vec))
-    return Strategy(tuple(moves), tuple(states))
+    strategy = Strategy(tuple(moves), tuple(states))
+    if vec != (n,) * (n + 1) or len(moves) != min_win:
+        raise DomainError(
+            f"the built strategy for n={n} ends at {states[-1].to_text()} after "
+            f"{len(moves)} moves, not a win of the minimum {min_win} moves"
+        )
+    return strategy
 
 
 def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
     """DOT digraph of every minimal move sequence from the start to an
     ideal state.
 
-    A child joins the tree when it stays on a shortest win, the rule that
-    ``shortest_strategy`` walks.  Wherever flags (a)-(c) of
+    A child joins the tree when it stays on a shortest win: its distance
+    to the end, read through the 0/n swap, is one less.  Distances to the
+    end are needed at every depth up to n+1, so this runs the full-depth
+    search, not the cut one.  Children come in (disk, from, to) order, so
+    the leftmost path starts ``shortest_strategy``.  Wherever flags (a)-(c) of
     ``optimal_strategies_through_ideal`` hold, every shortest win passes
     an ideal state right after move n+1, so the tree is exact: its paths
     are the shortest routes to the ideal states, one node per visit.
@@ -500,11 +557,12 @@ class IdealLayerReport:
     Flags: (a) every ideal state is exactly n+1 moves from the start,
     (b) exactly n+2 moves from the end, and (c) every minimum-length win
     passes through exactly one ideal state, right after move n+1.
+    ``min_win_moves`` is None when no win takes 2n+4 moves or fewer.
     """
 
     n: int
     ideal_count: int
-    min_win_moves: int
+    min_win_moves: int | None
     ideal_at_level: int
     shortest_path_count: int
     flag_a: bool
@@ -536,27 +594,23 @@ def optimal_strategies_through_ideal(
 ) -> IdealLayerReport:
     """Verify, not assume, how minimum-length wins relate to ideal states.
 
-    One breadth-first search with orbit-total shortest-path counts gives
-    the distances from the start, and through the 0/n peg swap those to
-    the end.  On a shortest win the state after k moves has distance k
-    from the start and L-k from the end, so flag (c) reduces to: given
-    (a), (b) and L = 2n+3, the on-path layer at k = n+1 equals the ideal
-    set exactly.  Both sets are unions of orbits, so comparing orbits
-    suffices.  A mid-layer orbit O carries C(O)*C(swap O)/|O| shortest wins.
+    One breadth-first search cut at depth n+2, with orbit-total
+    shortest-path counts, gives the distances from the start, and through
+    the 0/n peg swap those to the end; meeting in the middle gives the
+    minimum win L (see ``_meet_in_the_middle``).  On a shortest win the
+    state after k moves has distance k from the start and L-k from the
+    end, so flag (c) reduces to: given (a), (b) and L = 2n+3, the on-path
+    layer at k = n+1 equals the ideal set exactly.  Both sets are unions of
+    orbits, so comparing orbits suffices.  Every distance and count read
+    lies at depth n+1 or n+2, inside the cut, where the search is exact.  A
+    mid-layer orbit O carries C(O)*C(swap O)/|O| shortest wins.
     """
-    dist, count = _search(n, budget_states)
-    min_win = dist[(n,) * (n + 1)]
+    dist, count, pairs, min_win = _meet_in_the_middle(n, budget_states)
     ideal = _ideal_orbits(n)
-    flag_a = all(dist[o] == n + 1 for o in ideal)
-    flag_b = all(dist[_canonical(o, n, swap=True)] == n + 2 for o in ideal)
-    mid_layer = {
-        o
-        for o, d in dist.items()
-        if d == n + 1 and dist[_canonical(o, n, swap=True)] == min_win - (n + 1)
-    }
-    path_count = sum(
-        count[o] * count[_canonical(o, n, swap=True)] // _orbit_size(o, n) for o in mid_layer
-    )
+    flag_a = all(dist.get(o) == n + 1 for o in ideal)
+    flag_b = all(o in pairs and dist[pairs[o]] == n + 2 for o in ideal)
+    mid_layer = {o for o, s in pairs.items() if dist[o] == n + 1 and dist[o] + dist[s] == min_win}
+    path_count = sum(count[o] * count[pairs[o]] // _orbit_size(o, n) for o in mid_layer)
     flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal.keys()
     return IdealLayerReport(
         n=n,

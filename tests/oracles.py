@@ -2,10 +2,16 @@
 
 Deliberately simple and slow: these re-derive answers from the rules
 without touching the package internals, so agreement means something.
+``ideal_layer_full_depth`` and ``lexicographic_shortest_win`` are the
+exception: they walk the package's full-depth search, the route that the
+depth-cut analysis and the built strategy replaced, so each certifies
+its replacement.
 """
 
 from itertools import product
-from math import comb
+from math import comb, factorial
+
+from parkhanoi import hanoi
 
 
 def park_naive(prefs):
@@ -128,3 +134,45 @@ def orbit_count(n):
         comb(n + 1, m) * 2 ** (n + 1 - m) * sum(stirling2(m, k) for k in range(n))
         for m in range(n + 2)
     )
+
+
+def shortest_win_count(n):
+    """Shortest wins of the n+1 peg game in closed form, conjectured from
+    the search: (n-1)! * sum over i = 1..n-1 of (n-i) * C(i+1, 2)^2."""
+    return factorial(n - 1) * sum((n - i) * comb(i + 1, 2) ** 2 for i in range(1, n))
+
+
+def _full_search(n):
+    """Distances and path counts of every orbit, and the swap of an orbit."""
+    dist, count = hanoi._search(n, hanoi.DEFAULT_STATE_BUDGET)
+    return dist, count, lambda vec: hanoi._canonical(vec, n, swap=True)
+
+
+def ideal_layer_full_depth(n):
+    """The ideal-layer report as the full-depth search gives it."""
+    dist, count, swap = _full_search(n)
+    min_win = dist[(n,) * (n + 1)]
+    ideal = hanoi._ideal_orbits(n)
+    flag_a = all(dist[o] == n + 1 for o in ideal)
+    flag_b = all(dist[swap(o)] == n + 2 for o in ideal)
+    mid = {o for o, d in dist.items() if d == n + 1 and dist[swap(o)] == min_win - n - 1}
+    paths = sum(count[o] * count[swap(o)] // hanoi._orbit_size(o, n) for o in mid)
+    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid == ideal.keys()
+    return hanoi.IdealLayerReport(n, ideal.total(), min_win, n + 1, paths, flag_a, flag_b, flag_c)
+
+
+def lexicographic_shortest_win(n):
+    """(disk, from, to) of the lexicographically smallest shortest win: from
+    the start, always the smallest move that brings the end one step nearer."""
+    dist, _, swap = _full_search(n)
+    vec = (0,) * (n + 1)
+    moves = []
+    while (left := dist[swap(vec)]) > 0:
+        steps = []
+        for w in neighbors_naive(vec):
+            if dist[swap(w)] == left - 1:
+                disk = next(i for i in range(n + 1) if w[i] != vec[i])
+                steps.append(((disk, vec[disk], w[disk]), w))
+        move, vec = min(steps)
+        moves.append(move)
+    return moves

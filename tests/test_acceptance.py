@@ -27,7 +27,7 @@ from parkhanoi import (
 )
 from parkhanoi.cli import main as cli_main
 
-from oracles import displacement_naive, ideal_set_brute
+from oracles import displacement_naive, ideal_set_brute, shortest_win_count
 
 
 def _report(criterion, ok, detail=""):
@@ -189,24 +189,28 @@ def test_criterion_08_ideal_layer_necessity():
 
 
 # Shortest-win counts beyond the networkx cross-check: n = 6 was pinned
-# from the full-cube breadth-first search over all 823,543 vectors; the
-# n = 7 value has no independent route yet and is a regression value.
+# from the full-cube breadth-first search over all 823,543 vectors; n = 7
+# and 8 are certified by the closed form in ``oracles.shortest_win_count``.
 SHORTEST_WINS_N6_FULL_CUBE = 68_880
-SHORTEST_WINS_N7_REGRESSION = 997_920
+SHORTEST_WINS_N7 = 997_920
+SHORTEST_WINS_N8 = 15_029_280
 
 
-def test_criterion_08b_ideal_layer_n6_n7():
+def test_criterion_08b_ideal_layer_n6_to_n8():
     start = time.monotonic()
-    reports = {n: optimal_strategies_through_ideal(n) for n in (6, 7)}
+    reports = {n: optimal_strategies_through_ideal(n) for n in (6, 7, 8)}
     elapsed = time.monotonic() - start
     ok = all(r.ok and r.ideal_at_level == n + 1 for n, r in reports.items())
+    ok = ok and all(r.shortest_path_count == shortest_win_count(n) for n, r in reports.items())
     ok = ok and reports[6].shortest_path_count == SHORTEST_WINS_N6_FULL_CUBE
     ok = ok and reports[7].min_win_moves == 17
-    ok = ok and reports[7].shortest_path_count == SHORTEST_WINS_N7_REGRESSION
+    ok = ok and reports[7].shortest_path_count == SHORTEST_WINS_N7
+    ok = ok and reports[8].min_win_moves == 19
+    ok = ok and reports[8].shortest_path_count == SHORTEST_WINS_N8
     _report(
         "criterion 8b: the ideal-layer law holds for n=6 (68,880 shortest wins, "
-        "as the full-cube search found) and n=7 (minimum win 17) within the "
-        "default budget",
+        "as the full-cube search found), n=7 (minimum win 17) and n=8 (minimum "
+        "win 19, 15,029,280 shortest wins, the closed form) within the default budget",
         ok,
         f"shortest wins: { {n: r.shortest_path_count for n, r in reports.items()} }, "
         f"{elapsed:.1f}s",

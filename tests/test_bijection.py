@@ -12,6 +12,7 @@ from parkhanoi import (
     DomainError,
     IdealStateWitness,
     ValidationError,
+    brute_force_counts,
     displacement,
     displacement_one_violation,
     doubled_preference,
@@ -122,6 +123,26 @@ def test_verify_lists_each_failed_check(monkeypatch, kinds):
         "count:all_pf" if kind == "count" else kind for kind in kinds
     ]
     assert json.dumps(result) == json.dumps(verify_n2_obj(kinds))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verify_scans_once_for_both_reports(monkeypatch, n):
+    # one walk of [n]^n feeds the image check and the counts, which read
+    # the same as the two public calls that each walk it themselves
+    scans = []
+    real = parkhanoi.enumeration._scan
+
+    def counted(m):
+        scans.append(m)
+        return real(m)
+
+    monkeypatch.setattr(parkhanoi.enumeration, "_scan", counted)
+    monkeypatch.setattr(parkhanoi.bijection, "_scan", counted)
+    result = verify(n)
+    assert scans == [n]
+    assert result["bijection"] == verify_bijection(n).to_json_obj()
+    assert result["counts"] == [r.to_json_obj() for r in brute_force_counts(n)]
+    assert result["ok"]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -17,6 +17,7 @@ from parkhanoi import (
     brute_force_counts,
     cayley_count,
     displacement,
+    ending_state,
     enumerate_ideal_states,
     enumerate_pf,
     enumerate_pf_displacement,
@@ -323,7 +324,8 @@ def test_streams_are_deterministic():
             "displacement must be a non-negative integer, got -1",
         ),
         (lambda: starting_state(1), "n must be an integer >= 2, got 1"),
-        (lambda: enumerate_ideal_states("3"), "n must be an integer >= 2, got '3'"),
+        (lambda: ending_state("3"), "n must be an integer >= 2, got '3'"),
+        (lambda: enumerate_ideal_states("3"), "n must be a positive integer, got '3'"),
         (lambda: HanoiMove(0, -1, 1), "from_peg must be a non-negative integer, got -1"),
         (lambda: HanoiMove(False, 0, 1), "disk must be a non-negative integer, got False"),
     ],

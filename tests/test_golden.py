@@ -9,7 +9,9 @@ paths and every stderr digest were captured before the CLI's output
 branches were folded into one emitter.  A pass means neither rewrite
 changed an output byte.  Re-pinned since, for their ``note:`` lines: the
 stderr digests of ``solve --dot`` with a format set and of
-``--budget-n 3 count --n 5``.  The ``PARKHANOI_*`` environment is cleared for
+``--budget-n 3 count --n 5``; and ``enumerate ideal --n 1`` in every format,
+which exited 2 and now prints the empty stream with ``count=0``, byte for
+byte as ``enumerate pf1 --n 1`` does.  The ``PARKHANOI_*`` environment is cleared for
 each call.  To re-pin after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden_cli.json``.
 """

@@ -15,6 +15,7 @@ from parkhanoi import (
     DomainError,
     HanoiMove,
     HanoiState,
+    IdealStateWitness,
     IllegalMoveError,
     Strategy,
     ValidationError,
@@ -34,9 +35,12 @@ from parkhanoi import (
 
 from oracles import (
     ideal_by_definition,
+    ideal_layer_full_depth,
     ideal_set_brute,
+    lexicographic_shortest_win,
     neighbors_naive,
     orbit_count,
+    shortest_win_count,
     shortest_wins_full_cube,
 )
 
@@ -165,6 +169,38 @@ def test_witness_round_trip():
     assert w.singleton_assignment == ((1, 2),)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (
+            (1, (0, 1), ((2, 1),)),
+            "not an ideal state: exactly one peg must hold exactly two of the disks 0..n-1",
+        ),
+        (
+            (3, (0, 1), ((2, 1),)),
+            "not an ideal state: the doubled peg is 3; it must be an interior peg (1..2)",
+        ),
+        (
+            (1, (0, 1), ((2, 2), (3, 4))),
+            "not an ideal state: the singly covered pegs are [2, 4]; they must be "
+            "exactly the other interior pegs [2, 3]",
+        ),
+        ((1, (0, 0), ((2, 2),)), "witness disks must be exactly 0..n-1, each once"),
+        ((1, (0, 1), ((3, 2),)), "witness disks must be exactly 0..n-1, each once"),
+    ],
+    ids=["tripled peg", "exterior peg", "uncovered peg", "repeated disk", "disk out of range"],
+)
+def test_witness_is_checked_as_its_state(fields, message):
+    # a directly built witness is checked by the ideal-state test of its state
+    with pytest.raises(ValidationError) as exc:
+        IdealStateWitness(*fields)
+    assert str(exc.value) == message
+
+
+def test_witness_built_directly_equals_the_decomposition():
+    assert IdealStateWitness(2, (1, 0), ((2, 1),)) == ideal_witness((2, 2, 1, 0))
+
+
 def test_witness_rejects_non_ideal():
     with pytest.raises(DomainError) as exc:
         ideal_witness((0, 0, 0, 0))
@@ -223,8 +259,11 @@ def test_ideal_orbits_total_is_lah(n):
 
 
 def test_enumerate_rejects_small_n():
+    # n = 1 has no interior peg and so no ideal state: an empty stream, as
+    # the displacement-one stream is empty there
     with pytest.raises(ValidationError):
-        enumerate_ideal_states(1)
+        enumerate_ideal_states(0)
+    assert list(enumerate_ideal_states(1)) == []
 
 
 @pytest.mark.parametrize("n,expected", [(2, 7), (3, 9), (4, 11)])
@@ -243,19 +282,31 @@ def test_search_budget():
         dot_ideal_tree(4, budget_states=100)
 
 
+# orbits within n+2 moves of the start, which the depth-cut search visits
+CUT_ORBITS = {2: 11, 3: 45, 4: 158, 5: 496, 6: 1483}
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_budget_counts_visited_orbits(n):
-    # every entry point runs the one search, which fits a budget of exactly
-    # the orbit count and not one less, and that count is the closed form
-    # for orbits of the interior relabelling
-    orbits = orbit_count(n)
-    assert shortest_win_length(n, budget_states=orbits) == 2 * n + 3
-    with pytest.raises(BudgetExceededError):
-        shortest_win_length(n, budget_states=orbits - 1)
-    for search in (shortest_strategy, dot_ideal_tree, optimal_strategies_through_ideal):
+    # every entry point fits a budget of exactly the orbits its search visits
+    # and not one less: the full-depth search visits the closed form for
+    # orbits of the interior relabelling, the cut one those within n+2 moves
+    for search, orbits in (
+        (shortest_win_length, orbit_count(n)),
+        (dot_ideal_tree, orbit_count(n)),
+        (shortest_strategy, CUT_ORBITS[n]),
+        (optimal_strategies_through_ideal, CUT_ORBITS[n]),
+    ):
         search(n, budget_states=orbits)
         with pytest.raises(BudgetExceededError):
             search(n, budget_states=orbits - 1)
+    assert shortest_win_length(n, budget_states=orbit_count(n)) == 2 * n + 3
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cut_orbits_are_the_orbits_within_n_plus_2(n):
+    dist, _ = hanoi._search(n, orbit_count(n))
+    assert sum(d <= n + 2 for d in dist.values()) == CUT_ORBITS[n]
 
 
 def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
@@ -304,6 +355,70 @@ def test_orbit_closed_form_values():
     assert [orbit_count(n) for n in range(2, 9)] == [
         27, 136, 653, 3235, 16971, 94783, 562540
     ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_cut_report_equals_the_full_depth_report(n):
+    report = optimal_strategies_through_ideal(n)
+    assert report == ideal_layer_full_depth(n)  # every field
+    assert report.ok
+
+
+@pytest.mark.parametrize("n", range(2, 8))  # criterion 8b takes n = 6..8
+def test_shortest_wins_match_the_closed_form(n):
+    report = optimal_strategies_through_ideal(n)
+    assert report.ok
+    assert report.shortest_path_count == shortest_win_count(n)
+
+
+def test_cut_without_a_meeting_is_not_ok(monkeypatch):
+    # a cut two moves short of n+2 meets no win: the report fails and the
+    # built strategy is refused, rather than either assuming the minimum
+    search = hanoi._search
+    monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
+    report = optimal_strategies_through_ideal(4)
+    assert report.min_win_moves is None and report.shortest_path_count == 0
+    assert not (report.ok or report.flag_a or report.flag_b or report.flag_c)
+    with pytest.raises(DomainError, match="not a win of the minimum None moves"):
+        shortest_strategy(4)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_built_strategy_is_the_lexicographic_walk(n):
+    moves = [(m.disk, m.from_peg, m.to_peg) for m in shortest_strategy(n).moves]
+    assert moves == lexicographic_shortest_win(n)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda moves: moves[:-1], "ends at 0,4,4,4,4 after 10 moves"),
+        (lambda moves: moves[1:], "disk 1 is not the top of peg 0"),
+        (
+            lambda moves: [*moves[:2], moves[3], moves[2], *moves[4:]],
+            "peg 1 is topped by disk 0, smaller than disk 2",
+        ),
+        (lambda moves: [*moves, (0, 4, 0), (0, 0, 4)], "ends at 4,4,4,4,4 after 13 moves"),
+    ],
+    ids=["one short", "wrong peg", "buried disk", "detour"],
+)
+def test_corrupted_move_list_is_refused(monkeypatch, corrupt, message):
+    build = hanoi._win_moves
+    monkeypatch.setattr(hanoi, "_win_moves", lambda n: corrupt(build(n)))
+    with pytest.raises(DomainError, match=message):
+        shortest_strategy(4)
+
+
+def test_win_pattern_is_a_legal_win_at_large_n():
+    # the pattern wins at any n, through one ideal state after move n+1,
+    # wherever the search can certify its length or not
+    state = starting_state(40)
+    states = [state]
+    for move in hanoi._win_moves(40):
+        state = apply_move(state, HanoiMove(*move))
+        states.append(state)
+    assert len(states) == 84 and state == ending_state(40)
+    assert [is_ideal_state(s) for s in states] == [i == 41 for i in range(84)]
 
 
 @pytest.mark.parametrize("n", range(2, 6))
