@@ -5,7 +5,8 @@ An ideal state (x_0, ..., x_{n-1}, 0) with doubled peg j maps to the preference
 vector whose (i+1)-th entry is x_i, shifted up by one when x_i > j.  The doubled
 peg becomes the doubled preference, so j is preserved.  The inverse undoes the
 shift: entries above j+1 drop by one (no entry ever equals j+1, since the single
-preferences skip it).  Each map reads j in the one pass that checks its input.
+preferences skip it).  Each map decides its input and reads j in one set pass;
+a Counter pass runs only on a rejected input, to name the broken condition.
 
 ``verify_bijection`` checks the map exhaustively at one size; ``verify``
 adds the brute-force counts and the ideal-layer analysis, the whole battery.

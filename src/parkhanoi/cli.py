@@ -202,8 +202,9 @@ def _emit(fmt: str, obj: Callable[[], Any], lines: Renderer, table: Renderer) ->
     if fmt == "json":
         print(json.dumps(obj()))
     else:
+        write = sys.stdout.write
         for line in (lines if fmt == "lines" else table)():
-            print(line)
+            write(line + "\n")
 
 
 # --- commands -------------------------------------------------------------

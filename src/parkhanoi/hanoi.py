@@ -50,14 +50,15 @@ class HanoiState:
     pegs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pegs", tuple(self.pegs))
-        if len(self.pegs) < 3:
-            raise ValidationError(
-                f"a state needs at least 3 disks (n >= 2), got {len(self.pegs)}"
-            )
-        n = len(self.pegs) - 1
-        for disk, peg in enumerate(self.pegs):
-            if not isinstance(peg, int) or isinstance(peg, bool):
+        pegs = self.pegs
+        if type(pegs) is not tuple:
+            pegs = tuple(pegs)
+            object.__setattr__(self, "pegs", pegs)
+        if len(pegs) < 3:
+            raise ValidationError(f"a state needs at least 3 disks (n >= 2), got {len(pegs)}")
+        n = len(pegs) - 1
+        for disk, peg in enumerate(pegs):
+            if type(peg) is not int and (not isinstance(peg, int) or isinstance(peg, bool)):
                 raise ValidationError(f"peg of disk {disk} is not an integer: {peg!r}")
             if not 0 <= peg <= n:
                 raise ValidationError(f"disk {disk} sits on peg {peg}, outside 0..{n}")
@@ -199,13 +200,23 @@ class Strategy:
 
 
 def _ideal_violation(state: HanoiState) -> str | int:
-    """First broken ideal-state condition as a message, or the doubled
-    peg j (an int) when the state is ideal, in one pass."""
+    """The doubled peg j (an int) when the state is ideal, or the first
+    broken ideal-state condition as a message.
+
+    One set pass decides: the state is ideal exactly when disk n sits on
+    peg 0 and the pegs of disks 0..n-1 take exactly the n-1 values
+    1..n-1, and then j is their sum less 1 + ... + (n-1).  The Counter
+    pass runs only on a state that is not ideal, to name the broken
+    condition."""
     x = state.pegs
-    n = state.n
+    n = len(x) - 1
     if x[n] != 0:
         return f"the largest disk sits on peg {x[n]}, not alone on the source peg 0"
-    counts = Counter(x[:n])
+    low = x[:n]
+    pegs = set(low)
+    if len(pegs) == n - 1 and min(pegs) == 1 and max(pegs) == n - 1:
+        return sum(low) - n * (n - 1) // 2
+    counts = Counter(low)
     repeated = sorted(p for p, c in counts.items() if c >= 2)
     if len(repeated) != 1 or counts[repeated[0]] != 2:
         return "exactly one peg must hold exactly two of the disks 0..n-1"

@@ -29,12 +29,15 @@ class PreferenceVector:
     prefs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefs", tuple(self.prefs))
-        n = len(self.prefs)
+        prefs = self.prefs
+        if type(prefs) is not tuple:
+            prefs = tuple(prefs)
+            object.__setattr__(self, "prefs", prefs)
+        n = len(prefs)
         if n == 0:
             raise ValidationError("a preference vector needs at least one car")
-        for i, a in enumerate(self.prefs, start=1):
-            if not isinstance(a, int) or isinstance(a, bool):
+        for i, a in enumerate(prefs, start=1):
+            if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)):
                 raise ValidationError(f"preference of car {i} is not an integer: {a!r}")
             if not 1 <= a <= n:
                 raise ValidationError(f"preference of car {i} is {a}, outside spots 1..{n}")
@@ -135,10 +138,23 @@ def displacement(alpha: PreferenceVector | Sequence[int]) -> int:
 
 
 def _shape_violation(alpha: PreferenceVector) -> str | int:
-    """First broken displacement-one shape condition as a message, or the
-    doubled preference j (an int) when alpha has the shape, in one pass."""
-    n = alpha.n
-    counts = Counter(alpha.prefs)
+    """The doubled preference j (an int) when alpha has the
+    displacement-one shape, or the first broken condition as a message.
+
+    One set pass decides: alpha has the shape exactly when it takes n-1
+    distinct values and the doubled one, ``sum(prefs) - sum(values)``,
+    is one less than the missing one, ``1 + ... + n - sum(values)``.
+    The Counter pass runs only on a vector without the shape, to name
+    the broken condition."""
+    prefs = alpha.prefs
+    n = len(prefs)
+    values = set(prefs)
+    if len(values) == n - 1:
+        total = sum(values)
+        j = sum(prefs) - total
+        if j == n * (n + 1) // 2 - total - 1:
+            return j
+    counts = Counter(prefs)
     repeated = sorted(v for v, c in counts.items() if c >= 2)
     if len(repeated) != 1 or counts[repeated[0]] != 2:
         return "exactly one preference value must appear exactly twice"

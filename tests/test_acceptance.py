@@ -101,14 +101,14 @@ def test_criterion_04_structural_equals_simulated_displacement_one():
 
 def test_criterion_05_vector_ideal_test_equals_positional_definition():
     discrepancies = 0
-    for n in range(2, 5):
+    for n in range(2, 6):
         brute = ideal_set_brute(n)
         for vec in product(range(n + 1), repeat=n + 1):
             if is_ideal_state(vec) != (vec in brute):
                 discrepancies += 1
     _report(
         "criterion 5: vector ideal-state test agrees with the positional "
-        "definition on all of {0..n}^(n+1) for n=2..4",
+        "definition on all of {0..n}^(n+1) for n=2..5",
         discrepancies == 0,
         f"{discrepancies} discrepancies",
     )
@@ -190,15 +190,16 @@ def test_criterion_08_ideal_layer_necessity():
 
 # Shortest-win counts beyond the networkx cross-check: n = 6 was pinned
 # from the full-cube breadth-first search over all 823,543 vectors; n = 7
-# and 8 are certified by the closed form in ``oracles.shortest_win_count``.
+# to 9 are certified by the closed form in ``oracles.shortest_win_count``.
 SHORTEST_WINS_N6_FULL_CUBE = 68_880
 SHORTEST_WINS_N7 = 997_920
 SHORTEST_WINS_N8 = 15_029_280
+SHORTEST_WINS_N9 = 236_839_680
 
 
-def test_criterion_08b_ideal_layer_n6_to_n8():
+def test_criterion_08b_ideal_layer_n6_to_n9():
     start = time.monotonic()
-    reports = {n: optimal_strategies_through_ideal(n) for n in (6, 7, 8)}
+    reports = {n: optimal_strategies_through_ideal(n) for n in (6, 7, 8, 9)}
     elapsed = time.monotonic() - start
     ok = all(r.ok and r.ideal_at_level == n + 1 for n, r in reports.items())
     ok = ok and all(r.shortest_path_count == shortest_win_count(n) for n, r in reports.items())
@@ -207,10 +208,13 @@ def test_criterion_08b_ideal_layer_n6_to_n8():
     ok = ok and reports[7].shortest_path_count == SHORTEST_WINS_N7
     ok = ok and reports[8].min_win_moves == 19
     ok = ok and reports[8].shortest_path_count == SHORTEST_WINS_N8
+    ok = ok and reports[9].min_win_moves == 21
+    ok = ok and reports[9].shortest_path_count == SHORTEST_WINS_N9
     _report(
         "criterion 8b: the ideal-layer law holds for n=6 (68,880 shortest wins, "
-        "as the full-cube search found), n=7 (minimum win 17) and n=8 (minimum "
-        "win 19, 15,029,280 shortest wins, the closed form) within the default budget",
+        "as the full-cube search found), n=7 (minimum win 17), n=8 (minimum "
+        "win 19, 15,029,280 shortest wins, the closed form) and n=9 (minimum win "
+        "21, 236,839,680 shortest wins, the closed form) within the default budget",
         ok,
         f"shortest wins: { {n: r.shortest_path_count for n, r in reports.items()} }, "
         f"{elapsed:.1f}s",

@@ -185,17 +185,22 @@ def counters_made(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "call, arg",
+    "call, valid, invalid",
     [
-        (ideal_witness, (1, 2, 1, 0)),
-        (th_to_pf, (1, 2, 1, 0)),
-        (doubled_preference, (1, 3, 1)),
-        (pf_to_th, (1, 3, 1)),
+        (ideal_witness, (1, 2, 1, 0), (1, 1, 1, 0)),
+        (th_to_pf, (1, 2, 1, 0), (1, 1, 1, 0)),
+        (doubled_preference, (1, 3, 1), (1, 1, 1)),
+        (pf_to_th, (1, 3, 1), (1, 1, 1)),
     ],
     ids=["ideal_witness", "th_to_pf", "doubled_preference", "pf_to_th"],
 )
-def test_one_counter_per_call(counters_made, call, arg):
-    call(arg)
+def test_one_counter_per_call(counters_made, call, valid, invalid):
+    """A valid input is decided without a Counter; a rejected one builds
+    exactly one, to name the broken condition."""
+    call(valid)
+    assert counters_made == []
+    with pytest.raises(DomainError):
+        call(invalid)
     assert len(counters_made) == 1
 
 

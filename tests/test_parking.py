@@ -1,6 +1,7 @@
 """Parking process, displacement and the structural displacement-one test."""
 
 import json
+from enum import IntEnum
 from itertools import product
 
 import pytest
@@ -96,6 +97,21 @@ def test_validation_rejects_non_integers():
         PreferenceVector((1, "2"))
     with pytest.raises(ValidationError):
         PreferenceVector((True, 1))
+
+
+class Spot(IntEnum):
+    FIRST = 1
+    SECOND = 2
+
+
+def test_constructor_accepts_exactly_the_integers():
+    assert PreferenceVector((Spot.SECOND, Spot.FIRST)).prefs == (2, 1)
+    listed = PreferenceVector([3, 1, 1])
+    assert type(listed.prefs) is tuple and listed.prefs == (3, 1, 1)
+    with pytest.raises(ValidationError, match=r"^preference of car 1 is not an integer: True$"):
+        PreferenceVector((True, 1))
+    with pytest.raises(ValidationError, match=r"^preference of car 4 is 5, outside spots 1\.\.4$"):
+        PreferenceVector((1, 1, 1, 5))
 
 
 def test_text_round_trip():
