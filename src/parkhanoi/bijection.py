@@ -35,7 +35,6 @@ from .hanoi import (
     _doubled_peg,
     as_state,
     enumerate_ideal_states,
-    ideal_witness,
     optimal_strategies_through_ideal,
 )
 from .parking import PreferenceVector, as_preference_vector, doubled_preference
@@ -48,9 +47,12 @@ def th_to_pf(state: HanoiState | Sequence[int]) -> PreferenceVector:
     when the input is not ideal.
     """
     state = as_state(state)
-    j = _doubled_peg(state)
-    prefs = tuple(p + 1 if p > j else p for p in state.pegs[:-1])
-    return PreferenceVector(prefs)
+    return _shifted(state.pegs, _doubled_peg(state))
+
+
+def _shifted(pegs: tuple[int, ...], j: int) -> PreferenceVector:
+    """The preferences of an ideal state's pegs whose doubled peg is j."""
+    return PreferenceVector(tuple(p + 1 if p > j else p for p in pegs[:-1]))
 
 
 def pf_to_th(alpha: PreferenceVector | Sequence[int]) -> HanoiState:
@@ -86,10 +88,11 @@ class BijectionRecord:
 
 
 def make_record(state: HanoiState | Sequence[int]) -> BijectionRecord:
-    """Map an ideal state and bundle both sides with the shared value."""
+    """Map an ideal state and bundle both sides with the shared value, read
+    in the map's one checking pass."""
     state = as_state(state)
-    j = ideal_witness(state).doubled_peg
-    return BijectionRecord(n=state.n, ideal=state, pf=th_to_pf(state), doubled_value=j)
+    j = _doubled_peg(state)
+    return BijectionRecord(n=state.n, ideal=state, pf=_shifted(state.pegs, j), doubled_value=j)
 
 
 @dataclass(frozen=True)

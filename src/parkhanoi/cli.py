@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="cap on the peg-symmetry orbits one state-graph search may visit "
-        f"(default {DEFAULT_STATE_BUDGET}, enough for n <= 8; env {ENV_PREFIX}BUDGET_STATES)",
+        help="cap on the peg-symmetry orbits one state-graph search may visit and on "
+        f"the nodes of the solve --dot tree (default {DEFAULT_STATE_BUDGET}, enough for "
+        f"n <= 11, and n <= 7 with --dot; env {ENV_PREFIX}BUDGET_STATES)",
     )
     parser.add_argument(
         "--budget-n",

@@ -16,10 +16,9 @@ the searches below verify exhaustively that the minimum win takes 2n+3
 moves and that every minimum win sits in an ideal state right after
 move n+1.  They share one breadth-first search from the start over the
 orbits of the interior-peg relabelling, which fixes the start and the
-end, and cap the orbits it visits by a budget.  The ideal-layer analysis
-and ``shortest_strategy`` cut that search at depth n+2 and meet in the
-middle through the 0/n peg swap; ``shortest_win_length`` and
-``dot_ideal_tree`` search the whole graph.
+end, cut at depth n+2 and met in the middle through the 0/n peg swap,
+and cap the orbits it visits by a budget; ``dot_ideal_tree`` caps the
+nodes of its tree by the same budget.
 
 States, moves and strategies are immutable values; all functions are
 pure, and the searches are deterministic.
@@ -38,8 +37,9 @@ from typing import Any
 from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError
 from .errors import check_int, parse_vector
 
-#: Default cap on the orbits one state-graph search visits: enough for n <= 8,
-#: whose search visits 562,540 orbits.
+#: Default cap on the orbits one state-graph search visits, and on the nodes
+#: of the DOT tree: the search fits for n <= 11 (370,937 orbits), the tree for
+#: n <= 7 (212,366 nodes; n = 8 has 2,525,490).
 DEFAULT_STATE_BUDGET = 7**7
 
 
@@ -340,7 +340,8 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 # the start and the end, so one breadth-first search from the start,
 # ``_search``, visits one canonical vector per orbit of that relabelling:
 # interior pegs renumbered 1, 2, ... in the order their smallest disk appears.
-# For n = 7 that is 94,783 orbits instead of 16.7 M vectors.
+# For n = 7 the whole graph has 94,783 orbits instead of 16.7 M vectors, and
+# the 4,379 within n+2 moves are all that any caller searches.
 #
 # - Path counts are orbit totals: C[O] sums the shortest-path counts of
 #   the vectors in O.  Expanding a representative u adds C[orbit(u)] once
@@ -348,8 +349,7 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 #   vector of orbit(u) has the same moves up to relabelling.
 # - Swapping pegs 0 and n maps the start to the end and commutes with the
 #   relabelling, so dist_end(v) = dist_start(swap v) and one search from
-#   the start serves both ends: k moves into a shortest win of length L,
-#   the state has dist_end L-k, the rule ``dot_ideal_tree`` follows.
+#   the start serves both ends.
 # - Meeting in the middle needs only depth n+2.  Every visited pair v,
 #   swap v is a win of d(v) + d(swap v) moves, and a shortest win of
 #   L <= 2n+4 moves passes a v with d(v) = floor(L/2) and d(swap v) =
@@ -376,6 +376,14 @@ def _canonical(vec: Sequence[int], n: int, swap: bool = False) -> tuple[int, ...
 def _orbit_size(rep: tuple[int, ...], n: int) -> int:
     """Number of vectors in the orbit: ways to place its k interior pegs."""
     return perm(n - 1, len(set(rep) - {0, n}))
+
+
+def _orbit(rep: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """Every vector of the orbit whose canonical vector is ``rep``."""
+    k = len(set(rep) - {0, n})
+    for image in permutations(range(1, n), k):
+        label = {0: 0, n: n, **dict(zip(range(1, k + 1), image))}
+        yield tuple(map(label.__getitem__, rep))
 
 
 def _ideal_orbits(n: int) -> Counter[tuple[int, ...]]:
@@ -407,7 +415,8 @@ def _search(
     n: int, budget_states: int, depth: int | None = None
 ) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
     """Layered breadth-first search over orbits from the start, to ``depth``
-    moves, or over the whole graph when ``depth`` is None.
+    moves, or over the whole graph when ``depth`` is None, a mode kept only
+    for the full-depth walks of the test oracles.
 
     Returns each visited orbit's distance and orbit-total count of shortest
     paths from the start, exact at every depth reached; raises
@@ -452,29 +461,38 @@ def _search(
     return dist, count
 
 
-def shortest_win_length(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> int:
-    """Minimum number of moves to win, by breadth-first search."""
-    dist, _ = _search(n, budget_states)
-    return dist[(n,) * (n + 1)]
-
-
 def _meet_in_the_middle(n: int, budget_states: int) -> tuple[
     dict[tuple[int, ...], int],
     dict[tuple[int, ...], int],
     dict[tuple[int, ...], tuple[int, ...]],
+    set[tuple[int, ...]],
     int | None,
 ]:
     """The search cut at depth n+2, met in the middle through the 0/n swap.
 
     Returns its distances and counts, each visited orbit whose swap was
-    visited too mapped to that swap, and the minimum win length: the least
+    visited too mapped to that swap, the mid layer (the orbits n+1 moves
+    into a shortest win) and the minimum win length: the least
     d(v) + d(swap v) over those pairs, or None when there is none, so no
     win takes 2n+4 moves or fewer.
     """
     dist, count = _search(n, budget_states, n + 2)
     pairs = {o: s for o in dist if (s := _canonical(o, n, swap=True)) in dist}
     min_win = min((dist[o] + dist[s] for o, s in pairs.items()), default=None)
-    return dist, count, pairs, min_win
+    mid = {o for o, s in pairs.items() if dist[o] == n + 1 and dist[o] + dist[s] == min_win}
+    return dist, count, pairs, mid, min_win
+
+
+def _met(min_win: int | None, n: int) -> int:
+    """The cut's minimum win; raises DomainError when the cut met no win."""
+    if min_win is None:
+        raise DomainError(f"the search for n={n} cut at depth {n + 2} meets no win")
+    return min_win
+
+
+def shortest_win_length(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> int:
+    """Minimum number of moves to win, met in the middle of the cut search."""
+    return _met(_meet_in_the_middle(n, budget_states)[-1], n)
 
 
 def _win_moves(n: int) -> list[tuple[int, int, int]]:
@@ -524,25 +542,45 @@ def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
     """DOT digraph of every minimal move sequence from the start to an
     ideal state.
 
-    A child joins the tree when it stays on a shortest win: its distance
-    to the end, read through the 0/n swap, is one less.  Distances to the
-    end are needed at every depth up to n+1, so this runs the full-depth
-    search, not the cut one.  Children come in (disk, from, to) order, so
-    the leftmost path starts ``shortest_strategy``.  Wherever flags (a)-(c) of
+    A state k <= n+1 moves into a shortest win is exactly a state k moves
+    from the start with a neighbour k+1 moves into one, and at k = n+1
+    these are the cut search's mid layer.  So the orbits on a win are
+    marked level by level back from the mid layer, and a child joins the
+    tree when its orbit is marked at the next depth.  The tree has one node
+    per shortest route to a marked state, the sum of their orbit counts;
+    over ``budget_states`` that raises BudgetExceededError before any line
+    is built.  Raises DomainError when the cut meets no win.  Children come
+    in (disk, from, to) order, so the leftmost path starts
+    ``shortest_strategy``.  Wherever flags (a)-(c) of
     ``optimal_strategies_through_ideal`` hold, every shortest win passes
     an ideal state right after move n+1, so the tree is exact: its paths
     are the shortest routes to the ideal states, one node per visit.
     """
-    dist, _ = _search(n, budget_states)
+    dist, count, _, mid, min_win = _meet_in_the_middle(n, budget_states)
+    _met(min_win, n)
+    on_win = [mid]  # on_win[k]: the orbits k moves into a shortest win
+    for k in range(n, -1, -1):
+        on_win.insert(0, {
+            c
+            for w in on_win[0]
+            for *_, u in _successors(w, n, range(n + 1))
+            if dist[c := _canonical(u, n)] == k
+        })
+    nodes = sum(count[o] for layer in on_win for o in layer)
+    if nodes > budget_states:
+        raise BudgetExceededError(
+            f"the DOT tree for n={n} has {nodes} nodes, over the budget of "
+            f"{budget_states}; raise the budget to draw it"
+        )
+    states = [{v for o in layer for v in _orbit(o, n)} for layer in on_win]
     target = n + 1
-    win = dist[(n,) * (n + 1)]
     lines = ["digraph ideal_tree {", "  node [shape=box];"]
     node_count = 0
 
     @cache  # states recur across branches; the cache lives for this call only
-    def on_a_win(vec: tuple[int, ...], left: int) -> list[tuple[int, ...]]:
+    def on_a_win(vec: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
         steps = _successors(vec, n, range(n + 1))
-        return [w for *_, w in steps if dist[_canonical(w, n, swap=True)] == left]
+        return [w for *_, w in steps if w in states[depth]]
 
     def emit(vec: tuple[int, ...], depth: int) -> int:
         nonlocal node_count
@@ -552,7 +590,7 @@ def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
         label = ",".join(map(str, vec))
         lines.append(f'  s{node_id} [label="{label}"{style}];')
         if depth < target:
-            for child in on_a_win(vec, win - depth - 1):
+            for child in on_a_win(vec, depth + 1):
                 lines.append(f"  s{node_id} -> s{emit(child, depth + 1)};")
         return node_id
 
@@ -616,11 +654,10 @@ def optimal_strategies_through_ideal(
     lies at depth n+1 or n+2, inside the cut, where the search is exact.  A
     mid-layer orbit O carries C(O)*C(swap O)/|O| shortest wins.
     """
-    dist, count, pairs, min_win = _meet_in_the_middle(n, budget_states)
+    dist, count, pairs, mid_layer, min_win = _meet_in_the_middle(n, budget_states)
     ideal = _ideal_orbits(n)
     flag_a = all(dist.get(o) == n + 1 for o in ideal)
     flag_b = all(o in pairs and dist[pairs[o]] == n + 2 for o in ideal)
-    mid_layer = {o for o, s in pairs.items() if dist[o] == n + 1 and dist[o] + dist[s] == min_win}
     path_count = sum(count[o] * count[pairs[o]] // _orbit_size(o, n) for o in mid_layer)
     flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal.keys()
     return IdealLayerReport(

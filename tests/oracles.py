@@ -2,10 +2,11 @@
 
 Deliberately simple and slow: these re-derive answers from the rules
 without touching the package internals, so agreement means something.
-``ideal_layer_full_depth`` and ``lexicographic_shortest_win`` are the
-exception: they walk the package's full-depth search, the route that the
-depth-cut analysis and the built strategy replaced, so each certifies
-its replacement.
+``ideal_layer_full_depth``, ``lexicographic_shortest_win`` and
+``dot_tree_full_depth`` are the exception: they walk the package's
+full-depth search, the route that the depth-cut analysis, the built
+strategy and the depth-cut DOT tree replaced, so each certifies its
+replacement.
 """
 
 from itertools import product
@@ -142,6 +143,12 @@ def shortest_win_count(n):
     return factorial(n - 1) * sum((n - i) * comb(i + 1, 2) ** 2 for i in range(1, n))
 
 
+def ideal_route_count(n):
+    """Shortest routes from the start to the ideal layer in closed form,
+    conjectured from the search: (n-1)! * C(n+2, 4)."""
+    return factorial(n - 1) * comb(n + 2, 4)
+
+
 def _full_search(n):
     """Distances and path counts of every orbit, and the swap of an orbit."""
     dist, count = hanoi._search(n, hanoi.DEFAULT_STATE_BUDGET)
@@ -176,3 +183,27 @@ def lexicographic_shortest_win(n):
         move, vec = min(steps)
         moves.append(move)
     return moves
+
+
+def dot_tree_full_depth(n):
+    """The DOT text of ``solve --dot`` by the full-depth rule: from the start,
+    every move that brings the end one step nearer, down to depth n+1."""
+    dist, _, swap = _full_search(n)
+    lines = ["digraph ideal_tree {", "  node [shape=box];"]
+    nodes = []
+
+    def emit(vec, depth):
+        node = len(nodes)
+        nodes.append(vec)
+        bold = ", style=bold" if depth == n + 1 else ""
+        lines.append(f'  s{node} [label="{",".join(map(str, vec))}"{bold}];')
+        if depth <= n:
+            left = dist[swap(vec)] - 1
+            for w in neighbors_naive(vec):
+                if dist[swap(w)] == left:
+                    lines.append(f"  s{node} -> s{emit(w, depth + 1)};")
+        return node
+
+    emit((0,) * (n + 1), 0)
+    lines.append("}")
+    return "\n".join(lines)

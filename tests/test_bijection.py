@@ -165,9 +165,8 @@ def test_maps_build_no_witness(monkeypatch):
     monkeypatch.setattr(IdealStateWitness, "__post_init__", counting)
     for state in enumerate_ideal_states(4):
         pf_to_th(th_to_pf(state))
-    assert built == []
     make_record((2, 2, 1, 0))
-    assert len(built) == 1
+    assert built == []
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -355,6 +356,27 @@ def test_solve_dot_leaves_are_the_ideal_states(capsys):
     }
     code, states, _ = run(capsys, "enumerate", "ideal", "--n", "3")
     assert leaves == set(states.splitlines())
+
+
+def test_solve_dot_fits_a_budget_of_its_tree_nodes(capsys):
+    # the n = 4 tree has 212 nodes, more than the 158 orbits its search visits
+    code, plain, _ = run(capsys, "solve", "--n", "4", "--dot")
+    assert run(capsys, "--budget-states", "212", "solve", "--n", "4", "--dot") == (0, plain, "")
+    code, out, err = run(capsys, "--budget-states", "211", "solve", "--n", "4", "--dot")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: the DOT tree for n=4 has 212 nodes, over the budget of 211; "
+        "raise the budget to draw it\n"
+    )
+
+
+def test_solve_dot_n9_is_refused_before_any_line(capsys):
+    # 32,296,578 nodes: the count is known from the cut search, before any line is built
+    start = time.monotonic()
+    code, out, err = run(capsys, "solve", "--n", "9", "--dot")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the DOT tree for n=9 has 32296578 nodes, over the budget")
+    assert time.monotonic() - start < 20
 
 
 def test_count(capsys):

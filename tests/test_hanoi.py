@@ -35,8 +35,10 @@ from parkhanoi import (
 )
 
 from oracles import (
+    dot_tree_full_depth,
     ideal_by_definition,
     ideal_layer_full_depth,
+    ideal_route_count,
     ideal_set_brute,
     lexicographic_shortest_win,
     neighbors_naive,
@@ -301,23 +303,25 @@ def test_search_budget():
 
 # orbits within n+2 moves of the start, which the depth-cut search visits
 CUT_ORBITS = {2: 11, 3: 45, 4: 158, 5: 496, 6: 1483}
+# nodes of the DOT tree: shortest routes to the states on a shortest win, to depth n+1
+TREE_NODES = {2: 4, 3: 28, 4: 212, 5: 1914, 6: 19302}
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_budget_counts_visited_orbits(n):
     # every entry point fits a budget of exactly the orbits its search visits
-    # and not one less: the full-depth search visits the closed form for
-    # orbits of the interior relabelling, the cut one those within n+2 moves
-    for search, orbits in (
-        (shortest_win_length, orbit_count(n)),
-        (dot_ideal_tree, orbit_count(n)),
+    # and not one less: the search cut at depth n+2 visits the orbits within
+    # n+2 moves, and the DOT tree must also fit its nodes in the budget
+    for search, budget in (
+        (shortest_win_length, CUT_ORBITS[n]),
+        (dot_ideal_tree, max(CUT_ORBITS[n], TREE_NODES[n])),
         (shortest_strategy, CUT_ORBITS[n]),
         (optimal_strategies_through_ideal, CUT_ORBITS[n]),
     ):
-        search(n, budget_states=orbits)
+        search(n, budget_states=budget)
         with pytest.raises(BudgetExceededError):
-            search(n, budget_states=orbits - 1)
-    assert shortest_win_length(n, budget_states=orbit_count(n)) == 2 * n + 3
+            search(n, budget_states=budget - 1)
+    assert shortest_win_length(n, budget_states=CUT_ORBITS[n]) == 2 * n + 3
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -338,12 +342,24 @@ def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
     def counted_search(*args):
         nonlocal searches
         searches += 1
+        assert args[2] == 5 + 2  # cut at depth n+2
         return search(*args)
 
     monkeypatch.setattr(HanoiState, "__post_init__", counted_state)
     monkeypatch.setattr(hanoi, "_search", counted_search)
     dot_ideal_tree(5)
     assert (built, searches) == (0, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 7))  # n = 7 agrees too, outside the suite
+def test_dot_tree_equals_the_full_depth_rule(n):
+    assert dot_ideal_tree(n) == dot_tree_full_depth(n)
+
+
+@pytest.mark.parametrize("n, leaves", [(2, 1), (3, 10), (4, 90), (5, 840), (6, 8400)])
+def test_dot_tree_leaves_match_the_closed_form(n, leaves):
+    # the closed form shares no code with the cut search
+    assert dot_ideal_tree(n).count(", style=bold];") == leaves == ideal_route_count(n)
 
 
 def test_dot_tree_n6_digest():
@@ -398,6 +414,14 @@ def test_cut_without_a_meeting_is_not_ok(monkeypatch):
     assert not (report.ok or report.flag_a or report.flag_b or report.flag_c)
     with pytest.raises(DomainError, match="not a win of the minimum None moves"):
         shortest_strategy(4)
+
+
+@pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_tree])
+def test_cut_without_a_meeting_raises(monkeypatch, call):
+    search = hanoi._search
+    monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
+    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 6 meets no win$"):
+        call(4)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
