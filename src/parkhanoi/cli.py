@@ -1,16 +1,19 @@
 """Command-line interface: park, enumerate, map, verify, solve, count.
 
 Exit codes are a stable scripting contract: 0 success, 1 domain or
-verification failure, 2 parse/validation error, 3 budget exceeded.
+verification failure, 2 parse/validation error, 3 budget exceeded.  A
+reader that closes standard output early, as ``| head`` does, also gets
+exit 1, with no traceback.
 
 Defaults can be overridden per invocation with flags, or globally with
 environment variables: PARKHANOI_FORMAT, PARKHANOI_BUDGET_STATES and
 PARKHANOI_BUDGET_N (flags win over the environment).  Output format is
 json unless noted; ``enumerate`` defaults to lines, one comma-separated
 vector per line, with the count on standard error.  ``solve --dot``
-always prints DOT; when a format is set, by flag or environment, it
-notes on standard error that the format is ignored.  ``count`` over the
-scan budget names the statistics it left unchecked in a note there.
+always prints DOT, streamed line by line once the search has run; when a
+format is set, by flag or environment, it notes on standard error that
+the format is ignored.  ``count`` over the scan budget names the
+statistics it left unchecked in a note there.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from .errors import BudgetExceededError, DomainError, ValidationError, check_int
 from .hanoi import (
     DEFAULT_STATE_BUDGET,
     HanoiState,
-    dot_ideal_tree,
+    dot_ideal_lines,
     enumerate_ideal_states,
-    is_ideal_state,
     shortest_strategy,
 )
 from .parking import PreferenceVector, park
@@ -297,13 +299,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.dot:
-        print(dot_ideal_tree(args.n, budget_states=args.budget_states))
+        write = sys.stdout.write
+        for line in dot_ideal_lines(args.n, budget_states=args.budget_states):
+            write(line + "\n")
         if args.format is not None:
             print("note: --format is ignored with --dot", file=sys.stderr)
         return EXIT_OK
     strategy = shortest_strategy(args.n, budget_states=args.budget_states)
     moves, states = list(enumerate(strategy.moves, start=1)), strategy.states
-    ideal_after = next((i for i, s in enumerate(states) if is_ideal_state(s)), None)
+    ideal_after = strategy.ideal_after_move
 
     def table():
         yield f"start\n{render_state(states[0])}"
@@ -373,7 +377,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot fail again, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAILURE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

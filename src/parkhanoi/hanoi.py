@@ -17,8 +17,8 @@ moves and that every minimum win sits in an ideal state right after
 move n+1.  They share one breadth-first search from the start over the
 orbits of the interior-peg relabelling, which fixes the start and the
 end, cut at depth n+2 and met in the middle through the 0/n peg swap,
-and cap the orbits it visits by a budget; ``dot_ideal_tree`` caps the
-nodes of its tree by the same budget.
+and cap the orbits it visits by a budget; ``dot_ideal_lines`` caps the
+nodes of its tree by the same budget, then streams the tree.
 
 States, moves and strategies are immutable values; all functions are
 pure, and the searches are deterministic.
@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations
 from math import perm
 from typing import Any
@@ -192,6 +191,11 @@ class Strategy:
     def n(self) -> int:
         return self.states[0].n
 
+    @property
+    def ideal_after_move(self) -> int | None:
+        """The number of moves after which the play first stands in an ideal state, or None."""
+        return next((i for i, s in enumerate(self.states) if is_ideal_state(s)), None)
+
     def to_json_obj(self) -> list[dict[str, int]]:
         return [m.to_json_obj() for m in self.moves]
 
@@ -234,12 +238,8 @@ def _ideal_violation(state: HanoiState) -> str | int:
 
 
 def is_ideal_state(state: HanoiState | Sequence[int]) -> bool:
-    """Vector test for ideal states.
-
-    Equivalent to the positional description: disk n alone on the source
-    peg, destination peg empty, every interior peg covered and exactly
-    one interior peg holding two disks.
-    """
+    """Whether disk n is alone on the source peg, the destination peg is
+    empty, and every interior peg is covered, exactly one of them twice."""
     return not isinstance(_ideal_violation(as_state(state)), str)
 
 
@@ -360,6 +360,8 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 #   so the kernel makes one of them, weighted by how many there are.
 # - ``_ideal_orbits`` finds the ideal orbits by filtering canonical vectors.
 
+_Vec = tuple[int, ...]  # a peg vector, one entry per disk
+
 
 def _canonical(vec: Sequence[int], n: int, swap: bool = False) -> tuple[int, ...]:
     """Orbit representative: interior pegs renumbered by first appearance.
@@ -376,14 +378,6 @@ def _canonical(vec: Sequence[int], n: int, swap: bool = False) -> tuple[int, ...
 def _orbit_size(rep: tuple[int, ...], n: int) -> int:
     """Number of vectors in the orbit: ways to place its k interior pegs."""
     return perm(n - 1, len(set(rep) - {0, n}))
-
-
-def _orbit(rep: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """Every vector of the orbit whose canonical vector is ``rep``."""
-    k = len(set(rep) - {0, n})
-    for image in permutations(range(1, n), k):
-        label = {0: 0, n: n, **dict(zip(range(1, k + 1), image))}
-        yield tuple(map(label.__getitem__, rep))
 
 
 def _ideal_orbits(n: int) -> Counter[tuple[int, ...]]:
@@ -413,7 +407,7 @@ def _successors(
 
 def _search(
     n: int, budget_states: int, depth: int | None = None
-) -> tuple[dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:
+) -> tuple[dict[_Vec, int], dict[_Vec, int]]:
     """Layered breadth-first search over orbits from the start, to ``depth``
     moves, or over the whole graph when ``depth`` is None, a mode kept only
     for the full-depth walks of the test oracles.
@@ -462,11 +456,7 @@ def _search(
 
 
 def _meet_in_the_middle(n: int, budget_states: int) -> tuple[
-    dict[tuple[int, ...], int],
-    dict[tuple[int, ...], int],
-    dict[tuple[int, ...], tuple[int, ...]],
-    set[tuple[int, ...]],
-    int | None,
+    dict[_Vec, int], dict[_Vec, int], dict[_Vec, _Vec], set[_Vec], int | None
 ]:
     """The search cut at depth n+2, met in the middle through the 0/n swap.
 
@@ -538,65 +528,85 @@ def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> S
     return strategy
 
 
-def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
-    """DOT digraph of every minimal move sequence from the start to an
-    ideal state.
+def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Iterator[str]:
+    """The lines of a DOT digraph of every minimal move sequence from the
+    start to an ideal state, streamed in print order.
 
-    A state k <= n+1 moves into a shortest win is exactly a state k moves
-    from the start with a neighbour k+1 moves into one, and at k = n+1
-    these are the cut search's mid layer.  So the orbits on a win are
-    marked level by level back from the mid layer, and a child joins the
-    tree when its orbit is marked at the next depth.  The tree has one node
-    per shortest route to a marked state, the sum of their orbit counts;
-    over ``budget_states`` that raises BudgetExceededError before any line
-    is built.  Raises DomainError when the cut meets no win.  Children come
-    in (disk, from, to) order, so the leftmost path starts
-    ``shortest_strategy``.  Wherever flags (a)-(c) of
-    ``optimal_strategies_through_ideal`` hold, every shortest win passes
-    an ideal state right after move n+1, so the tree is exact: its paths
-    are the shortest routes to the ideal states, one node per visit.
+    A state k <= n+1 moves into a shortest win is one k moves from the start
+    with a neighbour k+1 moves into one; at k = n+1 these are the cut search's
+    mid layer.  So the orbits on a win are marked back from there, and the tree
+    has one node per shortest route to a marked state.  The search, the marking
+    and the node count run before this returns, so BudgetExceededError (nodes
+    over ``budget_states``) and DomainError (the cut meets no win) come before
+    any line.  Where flags (a)-(c) of ``optimal_strategies_through_ideal``
+    hold, the paths are exactly the shortest routes to the ideal states.
+    Children come in (disk, from, to) order, so the leftmost path starts
+    ``shortest_strategy``; they are found once per orbit and carried to each
+    vector by relabelling: the representative's interior pegs go to the
+    vector's in order of first appearance, then to its empty ones, ascending.
     """
     dist, count, _, mid, min_win = _meet_in_the_middle(n, budget_states)
     _met(min_win, n)
     on_win = [mid]  # on_win[k]: the orbits k moves into a shortest win
     for k in range(n, -1, -1):
-        on_win.insert(0, {
-            c
-            for w in on_win[0]
-            for *_, u in _successors(w, n, range(n + 1))
-            if dist[c := _canonical(u, n)] == k
-        })
+        steps = (u for w in on_win[0] for *_, u in _successors(w, n, range(n + 1)))
+        on_win.insert(0, {c for u in steps if dist[c := _canonical(u, n)] == k})
     nodes = sum(count[o] for layer in on_win for o in layer)
     if nodes > budget_states:
         raise BudgetExceededError(
             f"the DOT tree for n={n} has {nodes} nodes, over the budget of "
             f"{budget_states}; raise the budget to draw it"
         )
-    states = [{v for o in layer for v in _orbit(o, n)} for layer in on_win]
-    target = n + 1
-    lines = ["digraph ideal_tree {", "  node [shape=box];"]
-    node_count = 0
+    moves: dict[_Vec, list[tuple[int, int]]] = {}  # (disk, to) per orbit, at one depth each
+    children: dict[_Vec, list[tuple[_Vec, str]]] = {}  # per vector, with label texts
 
-    @cache  # states recur across branches; the cache lives for this call only
-    def on_a_win(vec: tuple[int, ...], depth: int) -> list[tuple[int, ...]]:
-        steps = _successors(vec, n, range(n + 1))
-        return [w for *_, w in steps if w in states[depth]]
+    def on_a_win(vec: _Vec, depth: int) -> list[tuple[_Vec, str]]:
+        found = children.get(vec)
+        if found is None:
+            order = [p for p in dict.fromkeys(vec) if 0 < p < n]
+            peg = [0, *order, *(p for p in range(1, n) if p not in order), n]  # label -> peg
+            rep = tuple(map({p: i for i, p in enumerate(peg)}.__getitem__, vec))
+            if rep not in moves:
+                steps = _successors(rep, n, range(n + 1))
+                moves[rep] = [(d, t) for d, _, t, w in steps if _canonical(w, n) in on_win[depth]]
+            found = children[vec] = [
+                (child := vec[:d] + (to,) + vec[d + 1 :], ",".join(map(str, child)))
+                for d, to in sorted((d, peg[to]) for d, to in moves[rep])
+            ]
+        return found
 
-    def emit(vec: tuple[int, ...], depth: int) -> int:
-        nonlocal node_count
-        node_id = node_count
-        node_count += 1
-        style = ", style=bold" if depth == target else ""
-        label = ",".join(map(str, vec))
-        lines.append(f'  s{node_id} [label="{label}"{style}];')
-        if depth < target:
-            for child in on_a_win(vec, depth + 1):
-                lines.append(f"  s{node_id} -> s{emit(child, depth + 1)};")
-        return node_id
+    def walk() -> Iterator[str]:
+        yield "digraph ideal_tree {"
+        yield "  node [shape=box];"
+        yield f'  s0 [label="{",".join("0" * (n + 1))}"];'
+        stack = [(0, iter(on_a_win((0,) * (n + 1), 1)))]  # (node id, children left)
+        last = 0
+        while stack:
+            node_id, rest = stack[-1]
+            for vec, label in rest:
+                last += 1
+                yield f'  s{last} [label="{label}"];'
+                if len(stack) < n:  # the child's depth
+                    stack.append((last, iter(on_a_win(vec, len(stack) + 1))))
+                    break
+                parent = last  # at depth n: its children are the bold leaves
+                for _, label in on_a_win(vec, n + 1):
+                    last += 1
+                    yield f'  s{last} [label="{label}", style=bold];'
+                    yield f"  s{parent} -> s{last};"
+                yield f"  s{node_id} -> s{parent};"
+            else:  # every child done: the edge into this node follows its subtree
+                stack.pop()
+                if stack:
+                    yield f"  s{stack[-1][0]} -> s{node_id};"
+        yield "}"
 
-    emit((0,) * (n + 1), 0)
-    lines.append("}")
-    return "\n".join(lines)
+    return walk()
+
+
+def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
+    """The lines of ``dot_ideal_lines`` joined into one DOT text."""
+    return "\n".join(dot_ideal_lines(n, budget_states=budget_states))
 
 
 @dataclass(frozen=True)
@@ -620,12 +630,8 @@ class IdealLayerReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.flag_a
-            and self.flag_b
-            and self.flag_c
-            and self.min_win_moves == 2 * self.n + 3
-        )
+        flags = self.flag_a and self.flag_b and self.flag_c
+        return flags and self.min_win_moves == 2 * self.n + 3
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -661,12 +667,6 @@ def optimal_strategies_through_ideal(
     path_count = sum(count[o] * count[pairs[o]] // _orbit_size(o, n) for o in mid_layer)
     flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal.keys()
     return IdealLayerReport(
-        n=n,
-        ideal_count=ideal.total(),
-        min_win_moves=min_win,
-        ideal_at_level=n + 1,
-        shortest_path_count=path_count,
-        flag_a=flag_a,
-        flag_b=flag_b,
-        flag_c=flag_c,
+        n=n, ideal_count=ideal.total(), min_win_moves=min_win, ideal_at_level=n + 1,
+        shortest_path_count=path_count, flag_a=flag_a, flag_b=flag_b, flag_c=flag_c,
     )

@@ -1,9 +1,14 @@
 """Command-line surface: output encodings and the exit-code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -377,6 +382,34 @@ def test_solve_dot_n9_is_refused_before_any_line(capsys):
     assert (code, out) == (3, "")
     assert err.startswith("error: the DOT tree for n=9 has 32296578 nodes, over the budget")
     assert time.monotonic() - start < 20
+
+
+def test_solve_dot_n7_digest(capsys):
+    # the n = 7 tree streams line by line; this pins all of its 13 MB
+    code, out, err = run(capsys, "solve", "--n", "7", "--dot")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "994d083357edb7a0fa1687ca67d20f6571717c75695f4a99c95e4e729644297a"
+    )
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "pf", "--n", "6"], ["solve", "--n", "6", "--dot"]])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # a reader that stops early, like ``| head -1``, closes the pipe mid-stream
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "from parkhanoi.cli import entrypoint; entrypoint()"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
 
 
 def test_count(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 from enum import IntEnum
 from itertools import product
@@ -21,6 +22,7 @@ from parkhanoi import (
     Strategy,
     ValidationError,
     apply_move,
+    dot_ideal_lines,
     dot_ideal_tree,
     ending_state,
     enumerate_ideal_states,
@@ -315,6 +317,7 @@ def test_budget_counts_visited_orbits(n):
     for search, budget in (
         (shortest_win_length, CUT_ORBITS[n]),
         (dot_ideal_tree, max(CUT_ORBITS[n], TREE_NODES[n])),
+        (dot_ideal_lines, max(CUT_ORBITS[n], TREE_NODES[n])),
         (shortest_strategy, CUT_ORBITS[n]),
         (optimal_strategies_through_ideal, CUT_ORBITS[n]),
     ):
@@ -360,6 +363,36 @@ def test_dot_tree_equals_the_full_depth_rule(n):
 def test_dot_tree_leaves_match_the_closed_form(n, leaves):
     # the closed form shares no code with the cut search
     assert dot_ideal_tree(n).count(", style=bold];") == leaves == ideal_route_count(n)
+
+
+def test_dot_lines_raise_at_the_call(monkeypatch):
+    # the search, the marking and the node count run before the first line,
+    # so both errors come from the call itself, before any next
+    with pytest.raises(BudgetExceededError, match="has 212 nodes, over the budget of 211"):
+        dot_ideal_lines(4, budget_states=TREE_NODES[4] - 1)
+    search = hanoi._search
+    monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
+    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 6 meets no win$"):
+        dot_ideal_lines(4)
+
+
+def test_dot_lines_first_line_comes_before_the_tree():
+    # the joined n = 7 text is 13 MB; its first line needs only the cut search
+    tracemalloc.start()
+    try:
+        first = next(dot_ideal_lines(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == "digraph ideal_tree {"
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_dot_lines_are_the_lines_of_the_tree(n):
+    lines = list(dot_ideal_lines(n))
+    assert "\n".join(lines) == dot_ideal_tree(n) == dot_tree_full_depth(n)
+    assert not any("\n" in line for line in lines)
 
 
 def test_dot_tree_n6_digest():

@@ -40,6 +40,32 @@ def test_imports_are_stdlib_or_relative():
     assert SOURCES and found == []
 
 
+def package_import_names(tree):
+    # every dotted part and name that an import takes from the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level > 0 or module[0] == "parkhanoi":
+                yield node, [*module, *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "parkhanoi":
+                    yield node, alias.name.split(".")
+
+
+def test_cli_imports_no_private_name():
+    # the CLI calls the library through public names only, so no library
+    # logic can hide behind an underscore import
+    path = Path(parkhanoi.__file__).parent / "cli.py"
+    found = [
+        f"cli.py:{node.lineno}:{name}"
+        for node, names in package_import_names(ast.parse(path.read_text(), filename=str(path)))
+        for name in names
+        if name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_public_surface_is_pinned():
     # a new public name must be added here on purpose
     assert sorted(parkhanoi.__all__) == [
@@ -48,7 +74,8 @@ def test_public_surface_is_pinned():
         "HanoiState", "IdealLayerReport", "IdealStateWitness", "IllegalMoveError",
         "ParkingOutcome", "PreferenceVector", "Strategy", "ValidationError",
         "apply_move", "as_preference_vector", "as_state", "brute_force_counts",
-        "cayley_count", "displacement", "displacement_one_violation", "dot_ideal_tree",
+        "cayley_count", "displacement", "displacement_one_violation", "dot_ideal_lines",
+        "dot_ideal_tree",
         "doubled_preference", "ending_state", "enumerate_ideal_states", "enumerate_pf",
         "enumerate_pf_displacement", "generate_displacement_one", "ideal_witness",
         "is_displacement_one_characterized", "is_ideal_state", "is_parking_function",
