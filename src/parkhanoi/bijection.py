@@ -10,6 +10,10 @@ a Counter pass runs only on a rejected input, to name the broken condition.
 
 ``verify_bijection`` checks the map exhaustively at one size; ``verify``
 adds the brute-force counts and the ideal-layer analysis, the whole battery.
+Each pair's round trip is computed once: the maps are pure, so when
+``pf_to_th`` takes th_to_pf(x) = a back to x, th_to_pf(pf_to_th(a)) = a
+follows, and the parking-side pass recomputes only the vectors the
+tower-side pass did not settle.
 """
 
 from __future__ import annotations
@@ -135,39 +139,51 @@ def verify_bijection(
     """Exhaustively verify the bijection at size n.
 
     Streams the ideal states and the constructive displacement-one set
-    once each, keeping one set per side, and checks: the map is injective;
-    its image equals the constructive set and (when ``check_image``) the
-    brute-force scan of [n]^n; both round trips are the identity; and both
-    streams yield n!(n-1)/2 items.  n = 1 passes vacuously on empty streams.
+    once each, keeping one set of entry tuples per side, and checks: the
+    map is injective; its image equals the constructive set and (when
+    ``check_image``) the brute-force scan of [n]^n; both round trips are
+    the identity; and both streams yield n!(n-1)/2 items.  A vector whose
+    state the tower-side round trip already recovered is not mapped
+    again: for pure maps its parking-side round trip follows.  n = 1
+    passes vacuously on empty streams.
     """
     check_int(n, "n", 1)
     check_int(budget_n, "budget_n", 1)
     if not check_image:
         return _bijection_report(n, None)
-    return _bijection_report(n, set(enumerate_pf_displacement(n, 1, budget_n=budget_n)))
+    scanned = {a.prefs for a in enumerate_pf_displacement(n, 1, budget_n=budget_n)}
+    return _bijection_report(n, scanned)
 
 
-def _bijection_report(n: int, scanned: set[PreferenceVector] | None) -> BijectionReport:
+def _bijection_report(n: int, scanned: set[tuple[int, ...]] | None) -> BijectionReport:
     """``verify_bijection``'s report, with the image checked against the
-    scanned displacement-one set, or not checked when it is None."""
-    image: set[PreferenceVector] = set()
-    structural: set[PreferenceVector] = set()
+    scanned displacement-one entry tuples, or not checked when it is None.
+
+    ``image`` maps each image vector's entries to whether the first pass saw
+    ``pf_to_th`` take the vector back to a state it came from.  If so,
+    th_to_pf sends that state back to the vector, and the second pass
+    skips its round trip.  For pure maps, every field and every exception
+    a map raises are those of running each round trip in turn until the
+    first one fails."""
+    image: dict[tuple[int, ...], bool] = {}
+    structural: set[tuple[int, ...]] = set()
     ideal_count = pf_count = 0
     round_states = round_prefs = True
     for ideal_count, x in enumerate(enumerate_ideal_states(n), 1):
-        image.add(a := th_to_pf(x))
+        a = th_to_pf(x)
         round_states = round_states and pf_to_th(a) == x
+        image[a.prefs] = round_states or image.get(a.prefs, False)
     for pf_count, a in enumerate(generate_displacement_one(n), 1):
-        structural.add(a)
-        round_prefs = round_prefs and th_to_pf(pf_to_th(a)) == a
+        structural.add(a.prefs)
+        round_prefs = round_prefs and (image.get(a.prefs, False) or th_to_pf(pf_to_th(a)) == a)
     return BijectionReport(
         n=n,
         ideal_count=ideal_count,
         pf_count=pf_count,
         expected_count=lah_count(n),
         injective=len(image) == ideal_count,
-        structural_image_matches=image == structural,
-        brute_image_matches=None if scanned is None else image == scanned,
+        structural_image_matches=image.keys() == structural,
+        brute_image_matches=None if scanned is None else image.keys() == scanned,
         round_trip_states_ok=round_states,
         round_trip_prefs_ok=round_prefs,
     )
@@ -185,11 +201,11 @@ def verify(
     _check_scan_budget(n, budget_n)
     layer = None if n < 2 else optimal_strategies_through_ideal(n, budget_states=budget_states)
     tally: Counter[int] = Counter()
-    ones: set[PreferenceVector] = set()
+    ones: set[tuple[int, ...]] = set()
     for alpha, d in _scan(n):
         tally[d] += 1
         if d == 1:
-            ones.add(alpha)
+            ones.add(alpha.prefs)
     bijection = _bijection_report(n, ones).to_json_obj()
     counts = _count_reports(n, tally)
     layer_obj = None if layer is None else layer.to_json_obj()

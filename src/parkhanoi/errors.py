@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package, plus the integer and vector checks.
+"""Exception taxonomy shared across the package, plus the integer check and the
+vector grammar: its parser and the numerals ``to_text`` writes.
 
 The CLI maps these onto distinct exit codes, so the split matters:
 malformed input is a different failure than a well-formed input lying
@@ -7,6 +8,7 @@ budget.
 """
 
 import re
+from functools import lru_cache
 
 
 class ValidationError(ValueError):
@@ -36,6 +38,13 @@ def check_int(value: object, name: str, minimum: int) -> None:
             minimum, f"an integer >= {minimum}"
         )
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+@lru_cache(maxsize=16)
+def numerals(size: int) -> tuple[str, ...]:
+    """``str(0)``, ..., ``str(size)``: ``to_text`` writes entry v of a length-``size``
+    vector as ``numerals(size)[v]``, the inverse of ``parse_vector``."""
+    return tuple(map(str, range(size + 1)))
 
 
 def parse_vector(text: str, what: str) -> tuple[int, ...]:

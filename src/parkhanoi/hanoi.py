@@ -34,7 +34,7 @@ from math import perm
 from typing import Any
 
 from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError
-from .errors import check_int, parse_vector
+from .errors import check_int, numerals, parse_vector
 
 #: Default cap on the orbits one state-graph search visits, and on the nodes
 #: of the DOT tree: the search fits for n <= 11 (370,937 orbits), the tree for
@@ -81,7 +81,8 @@ class HanoiState:
         return cls(parse_vector(text, "state"))
 
     def to_text(self) -> str:
-        return ",".join(str(p) for p in self.pegs)
+        table = numerals(len(self.pegs))
+        return ",".join([table[p] for p in self.pegs])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.pegs)

@@ -19,7 +19,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import DomainError, ValidationError, parse_vector
+from .errors import DomainError, ValidationError, numerals, parse_vector
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ class PreferenceVector:
         return cls(parse_vector(text, "preference vector"))
 
     def to_text(self) -> str:
-        return ",".join(str(a) for a in self.prefs)
+        table = numerals(len(self.prefs))
+        return ",".join([table[a] for a in self.prefs])
 
 
 def as_preference_vector(value: PreferenceVector | Sequence[int]) -> PreferenceVector:

@@ -6,13 +6,15 @@ without touching the package internals, so agreement means something.
 ``dot_tree_full_depth`` are the exception: they walk the package's
 full-depth search, the route that the depth-cut analysis, the built
 strategy and the depth-cut DOT tree replaced, so each certifies its
-replacement.
+replacement.  ``bijection_report_naive`` runs the package's enumerators
+and the maps it is given: it certifies the report's bookkeeping, not the
+maps.
 """
 
 from itertools import product
 from math import comb, factorial
 
-from parkhanoi import hanoi
+from parkhanoi import enumerate_ideal_states, generate_displacement_one, hanoi
 
 
 def park_naive(prefs):
@@ -54,6 +56,26 @@ def pf_with_displacement(n, d):
         prefs
         for prefs in product(range(1, n + 1), repeat=n)
         if displacement_naive(prefs) == d
+    }
+
+
+def bijection_report_naive(n, th_to_pf, pf_to_th, scanned=None):
+    """The fields of ``verify_bijection``'s report from two full passes over
+    sets of map outputs, running every round trip both ways, with the image
+    compared to the set of vectors ``scanned`` unless it is None."""
+    states = list(enumerate_ideal_states(n))
+    vectors = list(generate_displacement_one(n))
+    image = {th_to_pf(x) for x in states}
+    return {
+        "n": n,
+        "ideal_count": len(states),
+        "pf_count": len(vectors),
+        "expected_count": factorial(n) * (n - 1) // 2,
+        "injective": len(image) == len(states),
+        "structural_image_matches": image == set(vectors),
+        "brute_image_matches": None if scanned is None else image == scanned,
+        "round_trip_states_ok": all([pf_to_th(th_to_pf(x)) == x for x in states]),
+        "round_trip_prefs_ok": all([th_to_pf(pf_to_th(a)) == a for a in vectors]),
     }
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import asdict
 from itertools import chain, product
 
 import pytest
@@ -11,6 +12,7 @@ import parkhanoi
 from parkhanoi import (
     DomainError,
     IdealStateWitness,
+    PreferenceVector,
     ValidationError,
     brute_force_counts,
     displacement,
@@ -28,7 +30,7 @@ from parkhanoi import (
 )
 from parkhanoi.cli import main
 
-from oracles import pf_with_displacement
+from oracles import bijection_report_naive, pf_with_displacement
 from test_cli import force_failures, verify_n2_obj
 
 
@@ -259,11 +261,43 @@ def test_map_outputs_and_errors_are_pinned():
     )
 
 
+# --- one round trip per pair gives the report of two full passes ------------
+
+
+def planted_fault(n, fault):
+    """``th_to_pf`` and ``pf_to_th`` with one fault planted mid-stream: a state
+    sent to the first state's image, a vector sent back to the first state, or
+    none.  Mid-stream, so the first pass settles some vectors before it fails."""
+    real_th, real_pf = th_to_pf, pf_to_th
+    states = list(enumerate_ideal_states(n))
+    first, faulty = states[0], states[len(states) // 2]
+    first_image, faulty_image = real_th(first), real_th(faulty)
+    if fault == "state to another's image":
+        return (lambda x: first_image if x == faulty else real_th(x)), real_pf
+    if fault == "vector to the wrong state":
+        return real_th, (lambda a: first if a == faulty_image else real_pf(a))
+    return real_th, real_pf
+
+
+@pytest.mark.parametrize("fault", ["state to another's image", "vector to the wrong state", None])
+@pytest.mark.parametrize("n", [3, 4])
+def test_report_matches_two_full_passes(monkeypatch, n, fault):
+    maps = planted_fault(n, fault)
+    scanned = {PreferenceVector(p) for p in pf_with_displacement(n, 1)}
+    monkeypatch.setattr(parkhanoi.bijection, "th_to_pf", maps[0])
+    monkeypatch.setattr(parkhanoi.bijection, "pf_to_th", maps[1])
+    naive = bijection_report_naive(n, *maps, scanned)
+    assert asdict(verify_bijection(n)) == naive
+    assert asdict(verify_bijection(n, check_image=False)) == {**naive, "brute_image_matches": None}
+    assert verify(n)["bijection"] == {**naive, "ok": fault is None}
+
+
 # --- verify_bijection streams both families ---------------------------------
 
 
 def test_verify_bijection_streams():
-    # holding either family as a list at n = 7 peaks above 9 MiB
+    # holding either family as a list at n = 7 peaks above 9 MiB; keeping
+    # the image and constructive sets as entry tuples peaks near 3.8 MiB
     tracemalloc.start()
     try:
         report = verify_bijection(7, check_image=False)
@@ -271,7 +305,7 @@ def test_verify_bijection_streams():
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < 8 * 2**20
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("name", ["enumerate_ideal_states", "generate_displacement_one"])

@@ -100,6 +100,22 @@ def test_state_accepts_exactly_the_integers():
         HanoiState((0, 0, 4, 0))
 
 
+@pytest.mark.parametrize("n", range(2, 5))
+def test_state_text_over_the_cube(n):
+    for pegs in product(range(n + 1), repeat=n + 1):
+        state = HanoiState(pegs)
+        assert state.to_text() == ",".join(map(str, pegs))
+        assert HanoiState.from_text(state.to_text()) == state
+
+
+def test_state_text_has_no_size_ceiling():
+    pegs = tuple(range(300, -1, -1)) + (300, 0)  # n = 302, every peg 0..300 used
+    state = HanoiState(pegs)
+    assert state.to_text() == ",".join(map(str, pegs))
+    assert HanoiState.from_text(state.to_text()) == state
+    assert HanoiState((Peg.TWO, Peg.TWO, Peg.ONE, Peg.SOURCE)).to_text() == "2,2,1,0"
+
+
 def test_legal_moves_from_start():
     moves = legal_moves(starting_state(3))
     assert moves == {HanoiMove(0, 0, 1), HanoiMove(0, 0, 2), HanoiMove(0, 0, 3)}

@@ -122,6 +122,22 @@ def test_text_round_trip():
         PreferenceVector.from_text("3,x,1")
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_text_over_the_cube(n):
+    for prefs in product(range(1, n + 1), repeat=n):
+        pv = PreferenceVector(prefs)
+        assert pv.to_text() == ",".join(map(str, prefs))
+        assert PreferenceVector.from_text(pv.to_text()) == pv
+
+
+def test_text_has_no_size_ceiling():
+    prefs = tuple(range(300, 0, -1)) + (1, 301)  # n = 302, spots 1..301 preferred
+    pv = PreferenceVector(prefs)
+    assert pv.to_text() == ",".join(map(str, prefs))
+    assert PreferenceVector.from_text(pv.to_text()) == pv
+    assert PreferenceVector((Spot.SECOND, Spot.FIRST)).to_text() == "2,1"
+
+
 def test_outcome_json_keys():
     obj = park([3, 1, 1, 3, 2]).to_json_obj()
     assert list(obj) == [
