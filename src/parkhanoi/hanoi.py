@@ -294,21 +294,15 @@ def _doubled_peg(state: HanoiState) -> int:
 def ideal_witness(state: HanoiState | Sequence[int]) -> IdealStateWitness:
     """Decompose an ideal state; raises DomainError naming the first broken condition.
 
-    The witness's own check decides: a state with disk n on the source and
-    a peg holding exactly two of the disks 0..n-1 splits into a witness
-    whose state is this one; any other state is reported at once.
+    ``_doubled_peg`` decides the state and gives j; the two disks on j form
+    the pair and the others the singles, so the witness's own check passes.
     """
     state = as_state(state)
-    *x, last = state.pegs
-    j = next((p for p in x if x.count(p) == 2), None)
-    if last != 0 or j is None:
-        raise DomainError(f"not an ideal state: {_ideal_violation(state)}")
+    j = _doubled_peg(state)
+    x = state.pegs[:-1]
     pair = tuple(d for d, p in enumerate(x) if p == j)
     singles = tuple((d, p) for d, p in enumerate(x) if p != j)
-    try:
-        return IdealStateWitness(j, pair, singles)
-    except ValidationError as exc:
-        raise DomainError(str(exc)) from None
+    return IdealStateWitness(j, pair, singles)
 
 
 def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
@@ -338,11 +332,11 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 # Every vector of the cube {0..n}^(n+1) is a valid position, because
 # stacking order is implicit, and the move graph connects them all.
 # Relabelling the interior pegs 1..n-1 maps moves to moves and fixes both
-# the start and the end, so one breadth-first search from the start,
-# ``_search``, visits one canonical vector per orbit of that relabelling:
-# interior pegs renumbered 1, 2, ... in the order their smallest disk appears.
-# For n = 7 the whole graph has 94,783 orbits instead of 16.7 M vectors, and
-# the 4,379 within n+2 moves are all that any caller searches.
+# the start and the end, so one breadth-first search from the start cut at
+# depth n+2, ``_search``, visits one canonical vector per orbit of that
+# relabelling: interior pegs renumbered 1, 2, ... in the order their smallest
+# disk appears.  For n = 7 it visits 4,379 orbits, of the graph's 94,783
+# orbits and 16.7 M vectors.
 #
 # - Path counts are orbit totals: C[O] sums the shortest-path counts of
 #   the vectors in O.  Expanding a representative u adds C[orbit(u)] once
@@ -406,12 +400,8 @@ def _successors(
                 yield disk, from_peg, to_peg, vec[:disk] + (to_peg,) + vec[disk + 1 :]
 
 
-def _search(
-    n: int, budget_states: int, depth: int | None = None
-) -> tuple[dict[_Vec, int], dict[_Vec, int]]:
-    """Layered breadth-first search over orbits from the start, to ``depth``
-    moves, or over the whole graph when ``depth`` is None, a mode kept only
-    for the full-depth walks of the test oracles.
+def _search(n: int, budget_states: int, depth: int) -> tuple[dict[_Vec, int], dict[_Vec, int]]:
+    """Layered breadth-first search over orbits from the start, to ``depth`` moves.
 
     Returns each visited orbit's distance and orbit-total count of shortest
     paths from the start, exact at every depth reached; raises
@@ -424,9 +414,7 @@ def _search(
     # the relabelling of each order in which pegs first appear, built once
     labels: dict[tuple[int, ...], Callable[[int], int]] = {}
     frontier = list(dist)
-    level = 0
-    while frontier and level != depth:
-        level += 1
+    for level in range(1, depth + 1):
         nxt = []
         for u in frontier:
             k = len(set(u) - {0, n})  # interior pegs 1..k are in use
@@ -506,11 +494,10 @@ def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> S
     """One minimum-length winning strategy, built and then certified.
 
     The moves are the fixed 2n+3-move pattern of ``_win_moves``, equal to
-    the lexicographically smallest shortest win wherever that was walked
-    on the full search (n = 2..8).  ``Strategy`` replays them, so each move
-    is legal; the search cut at depth n+2 then certifies that they win in
-    exactly the minimum number of moves.  Raises DomainError if either
-    check fails.
+    the lexicographically smallest shortest win wherever that was computed
+    (n = 2..8).  ``Strategy`` replays them, so each move is legal; the
+    search cut at depth n+2 then certifies that they win in exactly the
+    minimum number of moves.  Raises DomainError if either check fails.
     """
     *_, min_win = _meet_in_the_middle(n, budget_states)
     vec = (0,) * (n + 1)

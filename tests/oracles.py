@@ -2,19 +2,17 @@
 
 Deliberately simple and slow: these re-derive answers from the rules
 without touching the package internals, so agreement means something.
-``ideal_layer_full_depth``, ``lexicographic_shortest_win`` and
-``dot_tree_full_depth`` are the exception: they walk the package's
-full-depth search, the route that the depth-cut analysis, the built
-strategy and the depth-cut DOT tree replaced, so each certifies its
-replacement.  ``bijection_report_naive`` runs the package's enumerators
-and the maps it is given: it certifies the report's bookkeeping, not the
-maps.
+``bijection_report_naive`` is the exception: it runs the package's
+enumerators and the maps it is given, so it certifies the report's
+bookkeeping, not the maps.
 """
 
+from functools import cache
 from itertools import product
 from math import comb, factorial
+from typing import NamedTuple
 
-from parkhanoi import enumerate_ideal_states, generate_displacement_one, hanoi
+from parkhanoi import IdealLayerReport, enumerate_ideal_states, generate_displacement_one
 
 
 def park_naive(prefs):
@@ -120,13 +118,15 @@ def neighbors_naive(vec):
     ]
 
 
-def shortest_wins_full_cube(n):
-    """(minimum win length, number of minimum wins), by layered BFS over
-    every vector of {0..n}^(n+1) with no symmetry reduction."""
-    start, end = (0,) * (n + 1), (n,) * (n + 1)
-    dist, ways = {start: 0}, {start: 1}
-    frontier = [start]
-    while end not in dist:
+def bfs_layers(source):
+    """Layered BFS over vectors from ``source`` by ``neighbors_naive``, with no
+    symmetry reduction: yields the distance and shortest-path count of every
+    vector reached, first for the source alone and then after each layer.
+    The maps grow in place; the caller stops where it needs."""
+    dist, ways = {source: 0}, {source: 1}
+    frontier = [source]
+    while frontier:
+        yield dist, ways
         nxt = []
         for vec in frontier:
             for w in neighbors_naive(vec):
@@ -137,7 +137,15 @@ def shortest_wins_full_cube(n):
                 if dist[w] == dist[vec] + 1:
                     ways[w] += ways[vec]
         frontier = nxt
-    return dist[end], ways[end]
+
+
+def shortest_wins_full_cube(n):
+    """(minimum win length, number of minimum wins), by a BFS from the start
+    until it reaches the end, with no bound on the depth."""
+    end = (n,) * (n + 1)
+    for dist, ways in bfs_layers((0,) * (n + 1)):
+        if end in dist:
+            return dist[end], ways[end]
 
 
 def stirling2(m, k):
@@ -171,35 +179,82 @@ def ideal_route_count(n):
     return factorial(n - 1) * comb(n + 2, 4)
 
 
-def _full_search(n):
-    """Distances and path counts of every orbit, and the swap of an orbit."""
-    dist, count = hanoi._search(n, hanoi.DEFAULT_STATE_BUDGET)
-    return dist, count, lambda vec: hanoi._canonical(vec, n, swap=True)
+def orbit_key(vec):
+    """Names the orbit of ``vec`` under relabelling the interior pegs: the
+    disks on peg 0, the disks on peg n, and the unordered interior blocks."""
+    n = len(vec) - 1
+    blocks = {}
+    for disk, peg in enumerate(vec):
+        blocks.setdefault(peg, []).append(disk)
+    inner = frozenset(tuple(b) for p, b in blocks.items() if 0 < p < n)
+    return tuple(blocks.get(0, ())), tuple(blocks.get(n, ())), inner
 
 
-def ideal_layer_full_depth(n):
-    """The ideal-layer report as the full-depth search gives it."""
-    dist, count, swap = _full_search(n)
-    min_win = dist[(n,) * (n + 1)]
-    ideal = hanoi._ideal_orbits(n)
-    flag_a = all(dist[o] == n + 1 for o in ideal)
-    flag_b = all(dist[swap(o)] == n + 2 for o in ideal)
-    mid = {o for o, d in dist.items() if d == n + 1 and dist[swap(o)] == min_win - n - 1}
-    paths = sum(count[o] * count[swap(o)] // hanoi._orbit_size(o, n) for o in mid)
-    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid == ideal.keys()
-    return hanoi.IdealLayerReport(n, ideal.total(), min_win, n + 1, paths, flag_a, flag_b, flag_c)
+class VectorOracle(NamedTuple):
+    """Balls of radius n+2 around the start and the end, met in the middle."""
+
+    dist_start: dict
+    ways_start: dict
+    dist_end: dict
+    ways_end: dict
+    min_win: int  # least d_start(v) + d_end(v) over the vectors in both balls
+    on_win: list  # on_win[k]: the vectors k <= n+1 moves into a shortest win
+
+
+def ball(source, radius):
+    """Distances and shortest-path counts of the vectors within ``radius`` moves."""
+    for level, (dist, ways) in enumerate(bfs_layers(source)):
+        if level == radius:
+            return dist, ways
+
+
+@cache
+def vector_oracle(n):
+    """Both balls by ``bfs_layers``, with the mid layer (d_start = n+1 and
+    d_end = L-n-1) and the vectors on a shortest win marked back from it:
+    at depth k <= n, those with a neighbour on a win at depth k+1."""
+    dist_start, ways_start = ball((0,) * (n + 1), n + 2)
+    dist_end, ways_end = ball((n,) * (n + 1), n + 2)
+    min_win = min(d + dist_end[v] for v, d in dist_start.items() if v in dist_end)
+    mid = {v for v, d in dist_start.items() if d == n + 1 and dist_end.get(v) == min_win - n - 1}
+    on_win = [mid]
+    for k in range(n, -1, -1):
+        on_win.insert(0, {v for v, d in dist_start.items() if d == k and any(
+            w in on_win[0] for w in neighbors_naive(v))})
+    return VectorOracle(dist_start, ways_start, dist_end, ways_end, min_win, on_win)
+
+
+def ideal_layer_report(n):
+    """The ideal-layer report from the vector oracle: ideal states by
+    definition, shortest wins as the sum of ways_start * ways_end over the
+    mid layer."""
+    o = vector_oracle(n)
+    candidates = (r + (0,) for r in product(range(1, n), repeat=n))
+    ideal = {v for v in candidates if ideal_by_definition(v)}
+    flag_a = all(o.dist_start.get(v) == n + 1 for v in ideal)
+    flag_b = all(o.dist_end.get(v) == n + 2 for v in ideal)
+    mid = o.on_win[n + 1]
+    paths = sum(o.ways_start[v] * o.ways_end[v] for v in mid)
+    flag_c = flag_a and flag_b and o.min_win == 2 * n + 3 and mid == ideal
+    return IdealLayerReport(n, len(ideal), o.min_win, n + 1, paths, flag_a, flag_b, flag_c)
 
 
 def lexicographic_shortest_win(n):
     """(disk, from, to) of the lexicographically smallest shortest win: from
-    the start, always the smallest move that brings the end one step nearer."""
-    dist, _, swap = _full_search(n)
+    the start, always the smallest move onto a shortest win."""
+    o = vector_oracle(n)
+
+    def on_a_win(vec, k):
+        if k <= n + 1:
+            return vec in o.on_win[k]
+        return o.dist_end.get(vec) == o.min_win - k
+
     vec = (0,) * (n + 1)
     moves = []
-    while (left := dist[swap(vec)]) > 0:
+    for k in range(1, o.min_win + 1):
         steps = []
         for w in neighbors_naive(vec):
-            if dist[swap(w)] == left - 1:
+            if on_a_win(w, k):
                 disk = next(i for i in range(n + 1) if w[i] != vec[i])
                 steps.append(((disk, vec[disk], w[disk]), w))
         move, vec = min(steps)
@@ -207,10 +262,10 @@ def lexicographic_shortest_win(n):
     return moves
 
 
-def dot_tree_full_depth(n):
-    """The DOT text of ``solve --dot`` by the full-depth rule: from the start,
-    every move that brings the end one step nearer, down to depth n+1."""
-    dist, _, swap = _full_search(n)
+def dot_tree(n):
+    """The DOT text of ``solve --dot``: from the start, every move onto a
+    shortest win, down to depth n+1."""
+    on_win = vector_oracle(n).on_win
     lines = ["digraph ideal_tree {", "  node [shape=box];"]
     nodes = []
 
@@ -220,9 +275,8 @@ def dot_tree_full_depth(n):
         bold = ", style=bold" if depth == n + 1 else ""
         lines.append(f'  s{node} [label="{",".join(map(str, vec))}"{bold}];')
         if depth <= n:
-            left = dist[swap(vec)] - 1
             for w in neighbors_naive(vec):
-                if dist[swap(w)] == left:
+                if w in on_win[depth + 1]:
                     lines.append(f"  s{node} -> s{emit(w, depth + 1)};")
         return node
 

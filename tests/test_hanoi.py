@@ -37,16 +37,18 @@ from parkhanoi import (
 )
 
 from oracles import (
-    dot_tree_full_depth,
+    dot_tree,
     ideal_by_definition,
-    ideal_layer_full_depth,
+    ideal_layer_report,
     ideal_route_count,
     ideal_set_brute,
     lexicographic_shortest_win,
     neighbors_naive,
     orbit_count,
+    orbit_key,
     shortest_win_count,
     shortest_wins_full_cube,
+    vector_oracle,
 )
 
 IDEAL_N3 = [
@@ -345,8 +347,25 @@ def test_budget_counts_visited_orbits(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cut_orbits_are_the_orbits_within_n_plus_2(n):
-    dist, _ = hanoi._search(n, orbit_count(n))
-    assert sum(d <= n + 2 for d in dist.values()) == CUT_ORBITS[n]
+    assert len({orbit_key(v) for v in vector_oracle(n).dist_start}) == CUT_ORBITS[n]
+
+
+@pytest.mark.parametrize("n", range(2, 7))  # n = 7 agrees too, outside the suite
+def test_cut_orbits_match_the_vector_oracle(n):
+    # the kernel, orbit by orbit, against a vector-level search that shares no
+    # code with it: an orbit's distance is each of its vectors' distance, and
+    # its count the sum of their shortest-path counts
+    oracle = vector_oracle(n)
+    orbits: dict[tuple, list[tuple[int, ...]]] = {}
+    for vec in oracle.dist_start:
+        orbits.setdefault(orbit_key(vec), []).append(vec)
+    dist, count = hanoi._search(n, hanoi.DEFAULT_STATE_BUDGET, n + 2)
+    assert len(dist) == len(orbits)
+    assert {orbit_key(o) for o in dist} == orbits.keys()
+    for o, d in dist.items():
+        vecs = orbits[orbit_key(o)]
+        assert {oracle.dist_start[v] for v in vecs} == {d}
+        assert count[o] == sum(oracle.ways_start[v] for v in vecs)
 
 
 def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
@@ -372,7 +391,7 @@ def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 7))  # n = 7 agrees too, outside the suite
 def test_dot_tree_equals_the_full_depth_rule(n):
-    assert dot_ideal_tree(n) == dot_tree_full_depth(n)
+    assert dot_ideal_tree(n) == dot_tree(n)
 
 
 @pytest.mark.parametrize("n, leaves", [(2, 1), (3, 10), (4, 90), (5, 840), (6, 8400)])
@@ -407,7 +426,7 @@ def test_dot_lines_first_line_comes_before_the_tree():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_dot_lines_are_the_lines_of_the_tree(n):
     lines = list(dot_ideal_lines(n))
-    assert "\n".join(lines) == dot_ideal_tree(n) == dot_tree_full_depth(n)
+    assert "\n".join(lines) == dot_ideal_tree(n) == dot_tree(n)
     assert not any("\n" in line for line in lines)
 
 
@@ -442,7 +461,7 @@ def test_orbit_closed_form_values():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_cut_report_equals_the_full_depth_report(n):
     report = optimal_strategies_through_ideal(n)
-    assert report == ideal_layer_full_depth(n)  # every field
+    assert report == ideal_layer_report(n)  # every field
     assert report.ok
 
 

@@ -53,17 +53,36 @@ def package_import_names(tree):
                     yield node, alias.name.split(".")
 
 
+def private_package_names(path):
+    # every underscore name a module takes from the package: by import, or as
+    # an attribute of a name such an import binds, like ``hanoi._search``
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node, names in package_import_names(tree):
+        yield from (f"{path.name}:{node.lineno}:{name}" for name in names if name.startswith("_"))
+        bound.update(
+            alias.asname or alias.name.split(".")[0]
+            for alias in node.names
+            if isinstance(node, ast.ImportFrom) or alias.name.split(".")[0] == "parkhanoi"
+        )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                yield f"{path.name}:{node.lineno}:{node.attr}"
+
+
 def test_cli_imports_no_private_name():
     # the CLI calls the library through public names only, so no library
     # logic can hide behind an underscore import
-    path = Path(parkhanoi.__file__).parent / "cli.py"
-    found = [
-        f"cli.py:{node.lineno}:{name}"
-        for node, names in package_import_names(ast.parse(path.read_text(), filename=str(path)))
-        for name in names
-        if name.startswith("_")
-    ]
-    assert found == []
+    assert list(private_package_names(Path(parkhanoi.__file__).parent / "cli.py")) == []
+
+
+def test_oracles_take_no_private_name():
+    # an oracle certifies the package only while it shares no code with it
+    assert list(private_package_names(Path(__file__).parent / "oracles.py")) == []
 
 
 def test_public_surface_is_pinned():
