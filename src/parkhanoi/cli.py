@@ -298,10 +298,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.dot:
-        write = sys.stdout.write
-        for line in dot_ideal_lines(args.n, budget_states=args.budget_states):
-            write(line + "\n")
+    if args.dot:  # the search runs in this call, so its errors come before any line
+        dot = dot_ideal_lines(args.n, budget_states=args.budget_states)
+        _emit("lines", list, lambda: dot, list)  # DOT is the one format with --dot
         if args.format is not None:
             print("note: --format is ignored with --dot", file=sys.stderr)
         return EXIT_OK

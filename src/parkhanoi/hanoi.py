@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import perm
 from typing import Any
 
@@ -69,11 +69,7 @@ class HanoiState:
 
     def top_disks(self) -> dict[int, int]:
         """Topmost (smallest) disk on each occupied peg."""
-        tops: dict[int, int] = {}
-        for disk, peg in enumerate(self.pegs):
-            if peg not in tops:
-                tops[peg] = disk
-        return tops
+        return dict(zip(reversed(self.pegs), range(self.n, -1, -1)))  # smallest disk wins
 
     @classmethod
     def from_text(cls, text: str) -> "HanoiState":
@@ -160,9 +156,7 @@ def apply_move(state: HanoiState | Sequence[int], move: HanoiMove) -> HanoiState
         raise IllegalMoveError(
             f"peg {move.to_peg} is topped by disk {target}, smaller than disk {move.disk}"
         )
-    pegs = list(state.pegs)
-    pegs[move.disk] = move.to_peg
-    return HanoiState(tuple(pegs))
+    return HanoiState(state.pegs[: move.disk] + (move.to_peg,) + state.pegs[move.disk + 1 :])
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,9 @@ class Strategy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moves", tuple(self.moves))
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", tuple(map(as_state, self.states)))
+        if not all(isinstance(move, HanoiMove) for move in self.moves):
+            raise ValidationError("every move of a strategy must be a HanoiMove")
         if len(self.states) != len(self.moves) + 1:
             raise ValidationError("a strategy needs exactly one more state than moves")
         if self.states[0] != starting_state(self.states[0].n):
@@ -259,11 +255,12 @@ class IdealStateWitness:
     singleton_assignment: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "doubled_disks", tuple(sorted(self.doubled_disks)))
-        object.__setattr__(
-            self, "singleton_assignment", tuple(sorted(self.singleton_assignment))
-        )
-        disks = [*self.doubled_disks, *(d for d, _ in self.singleton_assignment)]
+        try:
+            for name in ("doubled_disks", "singleton_assignment"):
+                object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
+            disks = [*self.doubled_disks, *(d for d, _ in self.singleton_assignment)]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("a witness needs a disk pair and (disk, peg) singles") from exc
         if sorted(disks) != list(range(self.n)):
             raise ValidationError("witness disks must be exactly 0..n-1, each once")
         found = _ideal_violation(self.to_state())
@@ -343,8 +340,8 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 #   per move of u into each next-layer orbit; this is exact because every
 #   vector of orbit(u) has the same moves up to relabelling.
 # - Swapping pegs 0 and n maps the start to the end and commutes with the
-#   relabelling, so dist_end(v) = dist_start(swap v) and one search from
-#   the start serves both ends.
+#   relabelling, so dist_end(v) = dist_start(swap v): one search from the
+#   start serves both ends, and ``_meet_in_the_middle`` applies the swap.
 # - Meeting in the middle needs only depth n+2.  Every visited pair v,
 #   swap v is a win of d(v) + d(swap v) moves, and a shortest win of
 #   L <= 2n+4 moves passes a v with d(v) = floor(L/2) and d(swap v) =
@@ -358,12 +355,9 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 _Vec = tuple[int, ...]  # a peg vector, one entry per disk
 
 
-def _canonical(vec: Sequence[int], n: int, swap: bool = False) -> tuple[int, ...]:
-    """Orbit representative: interior pegs renumbered by first appearance.
-
-    With ``swap`` the source and destination pegs also trade places.
-    """
-    label = {0: n, n: 0} if swap else {0: 0, n: n}
+def _canonical(vec: Sequence[int], n: int) -> tuple[int, ...]:
+    """Orbit representative: interior pegs renumbered by first appearance."""
+    label = {0: 0, n: n}
     for peg in dict.fromkeys(vec):
         if peg not in label:
             label[peg] = len(label) - 1
@@ -449,14 +443,15 @@ def _meet_in_the_middle(n: int, budget_states: int) -> tuple[
 ]:
     """The search cut at depth n+2, met in the middle through the 0/n swap.
 
-    Returns its distances and counts, each visited orbit whose swap was
-    visited too mapped to that swap, the mid layer (the orbits n+1 moves
-    into a shortest win) and the minimum win length: the least
-    d(v) + d(swap v) over those pairs, or None when there is none, so no
-    win takes 2n+4 moves or fewer.
+    Swaps pegs 0 and n of each visited orbit, then canonicalises.  Returns its
+    distances and counts, each visited orbit whose swap was visited too mapped
+    to that swap, the mid layer (the orbits n+1 moves into a shortest win) and
+    the minimum win length: the least d(v) + d(swap v) over those pairs, or
+    None when there is none, so no win takes 2n+4 moves or fewer.
     """
     dist, count = _search(n, budget_states, n + 2)
-    pairs = {o: s for o in dist if (s := _canonical(o, n, swap=True)) in dist}
+    swap = {0: n, n: 0}
+    pairs = {o: s for o in dist if (s := _canonical(tuple(map(swap.get, o, o)), n)) in dist}
     min_win = min((dist[o] + dist[s] for o, s in pairs.items()), default=None)
     mid = {o for o, s in pairs.items() if dist[o] == n + 1 and dist[o] + dist[s] == min_win}
     return dist, count, pairs, mid, min_win
@@ -495,25 +490,19 @@ def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> S
 
     The moves are the fixed 2n+3-move pattern of ``_win_moves``, equal to
     the lexicographically smallest shortest win wherever that was computed
-    (n = 2..8).  ``Strategy`` replays them, so each move is legal; the
-    search cut at depth n+2 then certifies that they win in exactly the
+    (n = 2..8).  ``apply_move`` checks each move while building the states;
+    the search cut at depth n+2 then certifies that they win in exactly the
     minimum number of moves.  Raises DomainError if either check fails.
     """
     *_, min_win = _meet_in_the_middle(n, budget_states)
-    vec = (0,) * (n + 1)
-    states = [HanoiState(vec)]
-    moves: list[HanoiMove] = []
-    for disk, from_peg, to_peg in _win_moves(n):
-        vec = vec[:disk] + (to_peg,) + vec[disk + 1 :]
-        moves.append(HanoiMove(disk, from_peg, to_peg))
-        states.append(HanoiState(vec))
-    strategy = Strategy(tuple(moves), tuple(states))
-    if vec != (n,) * (n + 1) or len(moves) != min_win:
+    moves = tuple(HanoiMove(*m) for m in _win_moves(n))
+    states = tuple(accumulate(moves, apply_move, initial=starting_state(n)))
+    if states[-1] != ending_state(n) or len(moves) != min_win:
         raise DomainError(
             f"the built strategy for n={n} ends at {states[-1].to_text()} after "
             f"{len(moves)} moves, not a win of the minimum {min_win} moves"
         )
-    return strategy
+    return Strategy(moves, states)
 
 
 def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Iterator[str]:

@@ -103,13 +103,19 @@ def ideal_set_brute(n):
     }
 
 
+def tops_naive(vec):
+    """The smallest disk on each occupied peg, scanning the disks upwards."""
+    tops = {}
+    for disk, peg in enumerate(vec):
+        tops.setdefault(peg, disk)
+    return tops
+
+
 def neighbors_naive(vec):
     """Every vector one legal move away: a peg's smallest disk moves onto
     an empty peg or onto a peg whose smallest disk is larger."""
     n = len(vec) - 1
-    tops = {}
-    for disk, peg in enumerate(vec):
-        tops.setdefault(peg, disk)
+    tops = tops_naive(vec)
     return [
         vec[:disk] + (to,) + vec[disk + 1 :]
         for peg, disk in tops.items()

@@ -48,6 +48,7 @@ from oracles import (
     orbit_key,
     shortest_win_count,
     shortest_wins_full_cube,
+    tops_naive,
     vector_oracle,
 )
 
@@ -143,10 +144,17 @@ def test_legal_moves_match_naive_neighbors(n):
         assert moved == sorted(neighbors_naive(vec))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_top_disks_match_naive_tops(n):
+    for vec in product(range(n + 1), repeat=n + 1):
+        assert HanoiState(vec).top_disks() == tops_naive(vec)
+
+
 @given(states())
 def test_no_move_lands_on_a_smaller_disk(vec):
+    # the tops come from the oracle, not from the kernel's own expression
     state = HanoiState(vec)
-    tops = state.top_disks()
+    tops = tops_naive(vec)
     for move in legal_moves(state):
         target = tops.get(move.to_peg)
         assert target is None or target > move.disk
@@ -234,6 +242,23 @@ def test_witness_is_checked_as_its_state(fields, message):
     with pytest.raises(ValidationError) as exc:
         IdealStateWitness(*fields)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (1, 5, ()),
+        (1, (0, 1), 5),
+        (1, (0, 1), ((2,),)),
+        (1, (0, 1), ((2, 1, 0),)),
+        (1, (0, 1), (2,)),
+    ],
+    ids=["pair not iterable", "singles not iterable", "short single", "long single", "int single"],
+)
+def test_witness_refuses_malformed_parts(fields):
+    with pytest.raises(ValidationError) as exc:
+        IdealStateWitness(*fields)
+    assert str(exc.value) == "a witness needs a disk pair and (disk, peg) singles"
 
 
 def test_witness_built_directly_equals_the_decomposition():
@@ -459,7 +484,7 @@ def test_orbit_closed_form_values():
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_cut_report_equals_the_full_depth_report(n):
+def test_cut_report_equals_the_vector_oracle_report(n):
     report = optimal_strategies_through_ideal(n)
     assert report == ideal_layer_report(n)  # every field
     assert report.ok
@@ -607,6 +632,14 @@ def test_strategy_validation():
         Strategy((m,), (s1, s0))  # does not start at the source stack
     with pytest.raises(ValidationError):
         Strategy((m, m), (s0, s1))  # length mismatch
+
+
+def test_strategy_coerces_states_and_refuses_raw_moves():
+    assert Strategy((), ((0, 0, 0),)).states == (starting_state(2),)
+    with pytest.raises(ValidationError, match="at least 3 disks"):
+        Strategy((), ((0, 0),))
+    with pytest.raises(ValidationError, match=r"^every move of a strategy must be a HanoiMove$"):
+        Strategy(((0, 0, 1),), ((0, 0, 0), (1, 0, 0)))
 
 
 def test_strategy_json():

@@ -102,3 +102,27 @@ def test_public_surface_is_pinned():
         "park", "pf_to_th", "shortest_strategy", "shortest_win_length", "starting_state",
         "th_to_pf", "verify", "verify_bijection",
     ]
+
+
+def stdout_writes(tree):
+    # every reference to sys.stdout.write, and every print to stdout
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "write":
+            if ast.unparse(node.value) == "sys.stdout":
+                yield node
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+            file = next((k.value for k in node.keywords if k.arg == "file"), None)
+            if file is None or ast.unparse(file) == "sys.stdout":
+                yield node
+
+
+def test_only_emit_writes_stdout():
+    # one stdout writer: every command's output goes through cli._emit
+    found, allowed = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name == "cli.py":
+            emit = next(n for n in tree.body if getattr(n, "name", None) == "_emit")
+            allowed = set(stdout_writes(emit))
+        found += [f"{path.name}:{n.lineno}" for n in stdout_writes(tree) if n not in allowed]
+    assert allowed and found == []
