@@ -8,8 +8,8 @@ shift: entries above j+1 drop by one (no entry ever equals j+1, since the single
 preferences skip it).  Each map decides its input and reads j in one set pass;
 a Counter pass runs only on a rejected input, to name the broken condition.
 
-``verify_bijection`` checks the map exhaustively at one size; ``verify``
-adds the brute-force counts and the ideal-layer analysis, the whole battery.
+``verify_bijection`` checks the map exhaustively at one size; ``verify`` returns
+the whole battery, with the counts and the ideal layer, as a ``VerifyReport``.
 Each pair's round trip is computed once: the maps are pure, so when
 ``pf_to_th`` takes th_to_pf(x) = a back to x, th_to_pf(pf_to_th(a)) = a
 follows, and the parking-side pass recomputes only the vectors the
@@ -25,6 +25,7 @@ from typing import Any
 
 from .enumeration import (
     DEFAULT_SCAN_MAX_N,
+    CountReport,
     _check_scan_budget,
     _count_reports,
     _scan,
@@ -36,6 +37,7 @@ from .errors import check_int
 from .hanoi import (
     DEFAULT_STATE_BUDGET,
     HanoiState,
+    IdealLayerReport,
     _doubled_peg,
     as_state,
     enumerate_ideal_states,
@@ -189,14 +191,53 @@ def _bijection_report(n: int, scanned: set[tuple[int, ...]] | None) -> Bijection
     )
 
 
+@dataclass(frozen=True)
+class VerifyReport:
+    """The whole battery at one size; ``ideal_layer`` is None for n = 1."""
+
+    n: int
+    bijection: BijectionReport
+    counts: tuple[CountReport, ...]
+    ideal_layer: IdealLayerReport | None
+
+    @property
+    def failures(self) -> list[dict[str, Any]]:
+        """One JSON entry per failed check: the bijection, each count, the ideal layer."""
+        bijection, layer = self.bijection, self.ideal_layer
+        failures = [] if bijection.ok else [
+            {"check": "bijection", "expected": {"ok": True}, "actual": bijection.to_json_obj()}
+        ]
+        failures += [
+            {"check": f"count:{r.statistic}", "expected": r.closed_form, "actual": r.brute_force}
+            for r in self.counts if r.match is False
+        ]
+        if layer is not None and not layer.ok:
+            expected = {"min_win_moves": 2 * self.n + 3, "flags": dict.fromkeys("abc", True)}
+            actual = layer.to_json_obj()
+            failures.append({"check": "ideal_layer", "expected": expected, "actual": actual})
+        return failures
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def to_json_obj(self) -> dict[str, Any]:
+        failures = self.failures
+        return {
+            "n": self.n,
+            "bijection": self.bijection.to_json_obj(),
+            "counts": [r.to_json_obj() for r in self.counts],
+            "ideal_layer": None if self.ideal_layer is None else self.ideal_layer.to_json_obj(),
+            "failures": failures,
+            "ok": not failures,
+        }
+
+
 def verify(
     n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N, budget_states: int = DEFAULT_STATE_BUDGET
-) -> dict[str, Any]:
-    """The whole battery at size n as one JSON object: the bijection, count and
-    ideal-layer reports (None for n = 1), one ``failures`` entry per failed
-    check, and ``ok``.  Raises BudgetExceededError over either budget before any
-    scan.  One scan of [n]^n serves both the bijection's image check and the
-    counts."""
+) -> VerifyReport:
+    """The whole battery at size n.  Raises BudgetExceededError over either budget
+    before any scan; one scan of [n]^n serves the bijection's image check and the counts."""
     check_int(budget_states, "budget_states", 1)
     _check_scan_budget(n, budget_n)
     layer = None if n < 2 else optimal_strategies_through_ideal(n, budget_states=budget_states)
@@ -206,25 +247,4 @@ def verify(
         tally[d] += 1
         if d == 1:
             ones.add(alpha.prefs)
-    bijection = _bijection_report(n, ones).to_json_obj()
-    counts = _count_reports(n, tally)
-    layer_obj = None if layer is None else layer.to_json_obj()
-    failures = [] if bijection["ok"] else [
-        {"check": "bijection", "expected": {"ok": True}, "actual": bijection}
-    ]
-    failures += [
-        {"check": f"count:{r.statistic}", "expected": r.closed_form, "actual": r.brute_force}
-        for r in counts
-        if r.match is False
-    ]
-    if layer is not None and not layer.ok:
-        expected = {"min_win_moves": 2 * n + 3, "flags": {"a": True, "b": True, "c": True}}
-        failures.append({"check": "ideal_layer", "expected": expected, "actual": layer_obj})
-    return {
-        "n": n,
-        "bijection": bijection,
-        "counts": [r.to_json_obj() for r in counts],
-        "ideal_layer": layer_obj,
-        "failures": failures,
-        "ok": not failures,
-    }
+    return VerifyReport(n, _bijection_report(n, ones), tuple(_count_reports(n, tally)), layer)

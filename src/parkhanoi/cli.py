@@ -270,28 +270,28 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    result = verify(args.n, budget_n=args.budget_n, budget_states=args.budget_states)
-    ok, layer = result["ok"], result["ideal_layer"]
+    report = verify(args.n, budget_n=args.budget_n, budget_states=args.budget_states)
+    ok, layer = report.ok, report.ideal_layer
 
     def table():
         yield f"verification for n={args.n}: {'all checks pass' if ok else 'FAILURES'}"
-        for r in result["counts"]:
+        for r in report.counts:
             yield (
-                f"  {r['statistic']}: closed form {r['closed_form']}, "
-                f"brute force {r['brute_force']}, match {r['match']}"
+                f"  {r.statistic}: closed form {r.closed_form}, "
+                f"brute force {r.brute_force}, match {r.match}"
             )
-        yield f"  bijection ok: {result['bijection']['ok']}"
+        yield f"  bijection ok: {report.bijection.ok}"
         if layer is not None:
-            flags = "/".join(map(str, layer["flags"].values()))
+            flags = f"{layer.flag_a}/{layer.flag_b}/{layer.flag_c}"
             yield (
-                f"  minimum win {layer['min_win_moves']} moves, ideal layer at "
-                f"{layer['ideal_at_level']}, flags a/b/c: {flags}"
+                f"  minimum win {layer.min_win_moves} moves, ideal layer at "
+                f"{layer.ideal_at_level}, flags a/b/c: {flags}"
             )
 
     _emit(
         args.format or "json",
-        lambda: result,
-        lambda: [f"ok={json.dumps(ok)}", *(f"failed={json.dumps(f)}" for f in result["failures"])],
+        report.to_json_obj,
+        lambda: [f"ok={json.dumps(ok)}", *(f"failed={json.dumps(f)}" for f in report.failures)],
         table,
     )
     return EXIT_OK if ok else EXIT_FAILURE

@@ -146,6 +146,8 @@ def apply_move(state: HanoiState | Sequence[int], move: HanoiMove) -> HanoiState
     """The state after one move; raises IllegalMoveError if it breaks the rules."""
     state = as_state(state)
     n = state.n
+    if not isinstance(move, HanoiMove):
+        raise ValidationError(f"a move must be a HanoiMove, got {move!r}")
     if move.disk > n or move.from_peg > n or move.to_peg > n:
         raise ValidationError(f"move {move} does not fit a game with disks/pegs 0..{n}")
     tops = state.top_disks()

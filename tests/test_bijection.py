@@ -14,6 +14,7 @@ from parkhanoi import (
     IdealStateWitness,
     PreferenceVector,
     ValidationError,
+    VerifyReport,
     brute_force_counts,
     displacement,
     displacement_one_violation,
@@ -23,6 +24,7 @@ from parkhanoi import (
     is_ideal_state,
     lah_count,
     make_record,
+    optimal_strategies_through_ideal,
     pf_to_th,
     th_to_pf,
     verify,
@@ -120,7 +122,7 @@ def test_record_serialization():
 )
 def test_verify_lists_each_failed_check(monkeypatch, kinds):
     force_failures(monkeypatch, kinds)
-    result = verify(2)
+    result = verify(2).to_json_obj()
     assert [f["check"] for f in result["failures"]] == [
         "count:all_pf" if kind == "count" else kind for kind in kinds
     ]
@@ -140,17 +142,23 @@ def test_verify_scans_once_for_both_reports(monkeypatch, n):
 
     monkeypatch.setattr(parkhanoi.enumeration, "_scan", counted)
     monkeypatch.setattr(parkhanoi.bijection, "_scan", counted)
-    result = verify(n)
+    report = verify(n)
+    result = report.to_json_obj()
     assert scans == [n]
     assert result["bijection"] == verify_bijection(n).to_json_obj()
     assert result["counts"] == [r.to_json_obj() for r in brute_force_counts(n)]
     assert result["ok"]
+    # the report is the public checks composed, field for field
+    assert isinstance(report, VerifyReport)
+    assert report.bijection == verify_bijection(n)
+    assert report.counts == tuple(brute_force_counts(n))
+    assert report.ideal_layer == (None if n == 1 else optimal_strategies_through_ideal(n))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_verify_is_what_the_cli_prints(capsys, n):
     assert main(["--format", "json", "verify", "--n", str(n)]) == 0
-    assert capsys.readouterr().out == json.dumps(verify(n)) + "\n"
+    assert capsys.readouterr().out == json.dumps(verify(n).to_json_obj()) + "\n"
 
 
 # --- each map finds j in the pass that checks its input --------------------
@@ -289,7 +297,7 @@ def test_report_matches_two_full_passes(monkeypatch, n, fault):
     naive = bijection_report_naive(n, *maps, scanned)
     assert asdict(verify_bijection(n)) == naive
     assert asdict(verify_bijection(n, check_image=False)) == {**naive, "brute_image_matches": None}
-    assert verify(n)["bijection"] == {**naive, "ok": fault is None}
+    assert verify(n).to_json_obj()["bijection"] == {**naive, "ok": fault is None}
 
 
 # --- verify_bijection streams both families ---------------------------------

@@ -172,6 +172,9 @@ def test_apply_move_rejects_illegal():
         apply_move((1, 0, 0, 0), HanoiMove(1, 0, 1))  # disk 0 tops peg 1
     with pytest.raises(ValidationError):
         apply_move((0, 0, 0, 0), HanoiMove(0, 0, 9))  # peg out of range
+    for raw in [(0, 0, 1), None]:  # not a HanoiMove
+        with pytest.raises(ValidationError, match=r"^a move must be a HanoiMove, got "):
+            apply_move((0, 0, 0), raw)
 
 
 def test_move_validation():

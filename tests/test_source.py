@@ -80,6 +80,19 @@ def test_cli_imports_no_private_name():
     assert list(private_package_names(Path(parkhanoi.__file__).parent / "cli.py")) == []
 
 
+def test_cli_reads_no_result_by_string_key():
+    # each report owns its JSON shape: the CLI reads typed fields, never a dict key
+    path = Path(parkhanoi.__file__).parent / "cli.py"
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, str)
+    ]
+    assert found == []
+
+
 def test_oracles_take_no_private_name():
     # an oracle certifies the package only while it shares no code with it
     assert list(private_package_names(Path(__file__).parent / "oracles.py")) == []
@@ -92,7 +105,7 @@ def test_public_surface_is_pinned():
         "DEFAULT_SCAN_MAX_N", "DEFAULT_STATE_BUDGET", "DomainError", "HanoiMove",
         "HanoiState", "IdealLayerReport", "IdealStateWitness", "IllegalMoveError",
         "ParkingOutcome", "PreferenceVector", "Strategy", "ValidationError",
-        "apply_move", "as_preference_vector", "as_state", "brute_force_counts",
+        "VerifyReport", "apply_move", "as_preference_vector", "as_state", "brute_force_counts",
         "cayley_count", "displacement", "displacement_one_violation", "dot_ideal_lines",
         "dot_ideal_tree",
         "doubled_preference", "ending_state", "enumerate_ideal_states", "enumerate_pf",
