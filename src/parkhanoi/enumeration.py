@@ -16,6 +16,7 @@ constructive ones place entries depth first.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
@@ -149,13 +150,18 @@ class CountReport:
 
 
 def brute_force_counts(n: int, *, budget_n: int = DEFAULT_SCAN_MAX_N) -> list[CountReport]:
-    """Count reports for all_pf, pf_by_displacement(1) and ideal_states.
-
-    One scan of [n]^n tallies both parking-function counts and one filter of
-    the ideal orbits (``hanoi._ideal_orbits``) counts the ideal states, empty
-    at n = 1.  Over the budget all three are None, a partial report."""
+    """Count reports for all_pf, pf_by_displacement(1) and ideal_states: one
+    scan of [n]^n tallies both parking-function counts, a filter of the ideal
+    orbits the ideal states (none at n = 1); over the budget all three are None.
+    BudgetExceededError if (n+1)^(n-1) has more digits than an int may print."""
     check_int(n, "n", 1)
     check_int(budget_n, "budget_n", 1)
+    digits = math.floor((n - 1) * math.log10(n + 1)) + 1  # of cayley_count(n), the longest count
+    if digits > getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0:
+        raise BudgetExceededError(
+            f"cayley_count({n}) has {digits} digits, over the interpreter's limit "
+            f"for printing an int; set PYTHONINTMAXSTRDIGITS to raise it"
+        )
     return _count_reports(n, Counter(d for _, d in _scan(n)) if n <= budget_n else None)
 
 

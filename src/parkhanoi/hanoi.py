@@ -544,7 +544,7 @@ def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Ite
         if found is None:
             order = [p for p in dict.fromkeys(vec) if 0 < p < n]
             peg = [0, *order, *(p for p in range(1, n) if p not in order), n]  # label -> peg
-            rep = tuple(map({p: i for i, p in enumerate(peg)}.__getitem__, vec))
+            rep = _canonical(vec, n)
             if rep not in moves:
                 steps = _successors(rep, n, range(n + 1))
                 moves[rep] = [(d, t) for d, _, t, w in steps if _canonical(w, n) in on_win[depth]]
@@ -564,16 +564,12 @@ def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Ite
             node_id, rest = stack[-1]
             for vec, label in rest:
                 last += 1
-                yield f'  s{last} [label="{label}"];'
-                if len(stack) < n:  # the child's depth
+                if len(stack) <= n:  # the child's depth
+                    yield f'  s{last} [label="{label}"];'
                     stack.append((last, iter(on_a_win(vec, len(stack) + 1))))
                     break
-                parent = last  # at depth n: its children are the bold leaves
-                for _, label in on_a_win(vec, n + 1):
-                    last += 1
-                    yield f'  s{last} [label="{label}", style=bold];'
-                    yield f"  s{parent} -> s{last};"
-                yield f"  s{node_id} -> s{parent};"
+                yield f'  s{last} [label="{label}", style=bold];'  # a leaf at depth n+1
+                yield f"  s{node_id} -> s{last};"
             else:  # every child done: the edge into this node follows its subtree
                 stack.pop()
                 if stack:
@@ -581,11 +577,6 @@ def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Ite
         yield "}"
 
     return walk()
-
-
-def dot_ideal_tree(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> str:
-    """The lines of ``dot_ideal_lines`` joined into one DOT text."""
-    return "\n".join(dot_ideal_lines(n, budget_states=budget_states))
 
 
 @dataclass(frozen=True)

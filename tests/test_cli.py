@@ -419,6 +419,30 @@ def test_count(capsys):
     assert [r["match"] for r in reports] == [True, True, True]
 
 
+@pytest.fixture
+def default_int_digits():
+    # the interpreter's default cap on the digits of a printed int
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter prints an int of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["json", "lines", "table"])
+def test_count_refuses_a_count_too_long_to_print(capsys, default_int_digits, fmt):
+    # (n+1)^(n-1) has 4,299 digits at n = 1371 and 4,302 at n = 1372
+    code, out, err = run(capsys, "--format", fmt, "count", "--n", "1372")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: cayley_count(1372) has 4302 digits, over the interpreter's limit for "
+        "printing an int; set PYTHONINTMAXSTRDIGITS to raise it\n"
+    )
+    code, out, _ = run(capsys, "--format", fmt, "count", "--n", "1371")
+    assert code == 0 and str(1372**1370) in out
+
+
 @pytest.mark.parametrize(
     "env, prefix", [({}, ["--budget-n", "3"]), ({"PARKHANOI_BUDGET_N": "3"}, [])]
 )

@@ -1,6 +1,7 @@
 """Enumerators, closed-form counters and the counting harness."""
 
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -279,6 +280,21 @@ def test_brute_force_counts_partial_over_budget():
 def test_brute_force_counts_all_none_over_budget():
     reports = brute_force_counts(4, budget_n=3)
     assert [r.brute_force for r in reports] == [None, None, None]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_brute_force_counts_refuse_a_count_too_long_to_print():
+    # refused before any closed form is computed, unless the limit is lifted
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(BudgetExceededError, match=r"^cayley_count\(1372\) has 4302 digits"):
+            brute_force_counts(1372)
+        assert brute_force_counts(1371)[0].closed_form == 1372**1370
+        sys.set_int_max_str_digits(0)
+        assert brute_force_counts(1372)[0].closed_form == 1373**1371
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_ideal_counts_skip_the_constructive_enumerator(monkeypatch):

@@ -23,7 +23,6 @@ from parkhanoi import (
     ValidationError,
     apply_move,
     dot_ideal_lines,
-    dot_ideal_tree,
     ending_state,
     enumerate_ideal_states,
     ideal_witness,
@@ -346,7 +345,7 @@ def test_search_budget():
     with pytest.raises(BudgetExceededError):
         shortest_strategy(4, budget_states=100)
     with pytest.raises(BudgetExceededError):
-        dot_ideal_tree(4, budget_states=100)
+        dot_ideal_lines(4, budget_states=100)
 
 
 # orbits within n+2 moves of the start, which the depth-cut search visits
@@ -362,7 +361,6 @@ def test_budget_counts_visited_orbits(n):
     # n+2 moves, and the DOT tree must also fit its nodes in the budget
     for search, budget in (
         (shortest_win_length, CUT_ORBITS[n]),
-        (dot_ideal_tree, max(CUT_ORBITS[n], TREE_NODES[n])),
         (dot_ideal_lines, max(CUT_ORBITS[n], TREE_NODES[n])),
         (shortest_strategy, CUT_ORBITS[n]),
         (optimal_strategies_through_ideal, CUT_ORBITS[n]),
@@ -396,6 +394,11 @@ def test_cut_orbits_match_the_vector_oracle(n):
         assert count[o] == sum(oracle.ways_start[v] for v in vecs)
 
 
+def dot_text(n):
+    # the whole DOT text: the CLI prints these lines, each with its newline
+    return "\n".join(dot_ideal_lines(n))
+
+
 def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
     built = searches = 0
     post_init, search = HanoiState.__post_init__, hanoi._search
@@ -413,19 +416,19 @@ def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
 
     monkeypatch.setattr(HanoiState, "__post_init__", counted_state)
     monkeypatch.setattr(hanoi, "_search", counted_search)
-    dot_ideal_tree(5)
+    dot_text(5)
     assert (built, searches) == (0, 1)
 
 
 @pytest.mark.parametrize("n", range(2, 7))  # n = 7 agrees too, outside the suite
 def test_dot_tree_equals_the_full_depth_rule(n):
-    assert dot_ideal_tree(n) == dot_tree(n)
+    assert dot_text(n) == dot_tree(n)
 
 
 @pytest.mark.parametrize("n, leaves", [(2, 1), (3, 10), (4, 90), (5, 840), (6, 8400)])
 def test_dot_tree_leaves_match_the_closed_form(n, leaves):
     # the closed form shares no code with the cut search
-    assert dot_ideal_tree(n).count(", style=bold];") == leaves == ideal_route_count(n)
+    assert dot_text(n).count(", style=bold];") == leaves == ideal_route_count(n)
 
 
 def test_dot_lines_raise_at_the_call(monkeypatch):
@@ -454,13 +457,13 @@ def test_dot_lines_first_line_comes_before_the_tree():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_dot_lines_are_the_lines_of_the_tree(n):
     lines = list(dot_ideal_lines(n))
-    assert "\n".join(lines) == dot_ideal_tree(n) == dot_tree(n)
+    assert "\n".join(lines) == dot_tree(n)
     assert not any("\n" in line for line in lines)
 
 
 def test_dot_tree_n6_digest():
     # the goldens stop at n = 5; this pins the larger tree byte for byte
-    digest = hashlib.sha256(dot_ideal_tree(6).encode()).hexdigest()
+    digest = hashlib.sha256(dot_text(6).encode()).hexdigest()
     assert digest == "a383c190be4156cc048c92ddda91d27e2eb49e59b0cf6dea5d1d376633bf1a89"
 
 
@@ -468,7 +471,7 @@ def test_dot_tree_n6_digest():
 def test_dot_tree_leftmost_chain_is_the_solve_walk(n):
     # the tree and solve keep a child by the same shortest-win rule, and
     # both list children in (disk, from, to) order
-    dot = dot_ideal_tree(n)
+    dot = dot_text(n)
     labels = dict(re.findall(r'^  s(\d+) \[label="([\d,]+)"', dot, re.MULTILINE))
     first_child: dict[str, str] = {}
     for parent, child in re.findall(r"^  s(\d+) -> s(\d+);$", dot, re.MULTILINE):
@@ -512,7 +515,7 @@ def test_cut_without_a_meeting_is_not_ok(monkeypatch):
         shortest_strategy(4)
 
 
-@pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_tree])
+@pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_lines])
 def test_cut_without_a_meeting_raises(monkeypatch, call):
     search = hanoi._search
     monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
