@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, permutations
 from math import perm
 from typing import Any
@@ -163,32 +163,19 @@ def apply_move(state: HanoiState | Sequence[int], move: HanoiMove) -> HanoiState
 
 @dataclass(frozen=True)
 class Strategy:
-    """A playthrough: the move list plus every state it visits.
+    """A playthrough: the move list plus every state it visits.  The states are
+    built from the moves, one ``apply_move`` each, from the all-on-source start."""
 
-    ``states[0]`` is the all-on-source starting position and each later
-    state results from applying the corresponding move; the constructor
-    replays the moves to enforce this.
-    """
-
+    n: int
     moves: tuple[HanoiMove, ...]
-    states: tuple[HanoiState, ...]
+    states: tuple[HanoiState, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moves", tuple(self.moves))
-        object.__setattr__(self, "states", tuple(map(as_state, self.states)))
         if not all(isinstance(move, HanoiMove) for move in self.moves):
             raise ValidationError("every move of a strategy must be a HanoiMove")
-        if len(self.states) != len(self.moves) + 1:
-            raise ValidationError("a strategy needs exactly one more state than moves")
-        if self.states[0] != starting_state(self.states[0].n):
-            raise ValidationError("a strategy must start with every disk on the source peg")
-        for i, move in enumerate(self.moves):
-            if apply_move(self.states[i], move) != self.states[i + 1]:
-                raise ValidationError(f"state after move {i + 1} does not match the move")
-
-    @property
-    def n(self) -> int:
-        return self.states[0].n
+        states = accumulate(self.moves, apply_move, initial=starting_state(self.n))
+        object.__setattr__(self, "states", tuple(states))
 
     @property
     def ideal_after_move(self) -> int | None:
@@ -209,8 +196,8 @@ def _ideal_violation(state: HanoiState) -> str | int:
     One set pass decides: the state is ideal exactly when disk n sits on
     peg 0 and the pegs of disks 0..n-1 take exactly the n-1 values
     1..n-1, and then j is their sum less 1 + ... + (n-1).  The Counter
-    pass runs only on a state that is not ideal, to name the broken
-    condition."""
+    pass runs only on a state that is not ideal, and only words the
+    rejection: it names the first broken condition."""
     x = state.pegs
     n = len(x) - 1
     if x[n] != 0:
@@ -228,12 +215,10 @@ def _ideal_violation(state: HanoiState) -> str | int:
         return f"the doubled peg is {j}; it must be an interior peg (1..{n - 1})"
     rest = set(counts) - {j}
     expected = set(range(1, n)) - {j}
-    if rest != expected:
-        return (
-            f"the singly covered pegs are {sorted(rest)}; they must be exactly the "
-            f"other interior pegs {sorted(expected)}"
-        )
-    return j
+    return (
+        f"the singly covered pegs are {sorted(rest)}; they must be exactly the "
+        f"other interior pegs {sorted(expected)}"
+    )
 
 
 def is_ideal_state(state: HanoiState | Sequence[int]) -> bool:
@@ -492,19 +477,18 @@ def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> S
 
     The moves are the fixed 2n+3-move pattern of ``_win_moves``, equal to
     the lexicographically smallest shortest win wherever that was computed
-    (n = 2..8).  ``apply_move`` checks each move while building the states;
-    the search cut at depth n+2 then certifies that they win in exactly the
-    minimum number of moves.  Raises DomainError if either check fails.
+    (n = 2..8).  ``Strategy`` builds the states, ``apply_move`` checking each
+    move; the search cut at depth n+2 then certifies that they win in exactly
+    the minimum number of moves.  Raises DomainError if either check fails.
     """
-    *_, min_win = _meet_in_the_middle(n, budget_states)
-    moves = tuple(HanoiMove(*m) for m in _win_moves(n))
-    states = tuple(accumulate(moves, apply_move, initial=starting_state(n)))
-    if states[-1] != ending_state(n) or len(moves) != min_win:
+    min_win = _met(_meet_in_the_middle(n, budget_states)[-1], n)
+    strategy = Strategy(n, tuple(HanoiMove(*m) for m in _win_moves(n)))
+    if (end := strategy.states[-1]) != ending_state(n) or len(strategy.moves) != min_win:
         raise DomainError(
-            f"the built strategy for n={n} ends at {states[-1].to_text()} after "
-            f"{len(moves)} moves, not a win of the minimum {min_win} moves"
+            f"the built strategy for n={n} ends at {end.to_text()} after "
+            f"{len(strategy.moves)} moves, not a win of the minimum {min_win} moves"
         )
-    return Strategy(moves, states)
+    return strategy
 
 
 def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Iterator[str]:

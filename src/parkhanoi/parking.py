@@ -145,8 +145,8 @@ def _shape_violation(alpha: PreferenceVector) -> str | int:
     One set pass decides: alpha has the shape exactly when it takes n-1
     distinct values and the doubled one, ``sum(prefs) - sum(values)``,
     is one less than the missing one, ``1 + ... + n - sum(values)``.
-    The Counter pass runs only on a vector without the shape, to name
-    the broken condition."""
+    The Counter pass runs only on a vector without the shape, and only
+    words the rejection: it names the first broken condition."""
     prefs = alpha.prefs
     n = len(prefs)
     values = set(prefs)
@@ -164,12 +164,10 @@ def _shape_violation(alpha: PreferenceVector) -> str | int:
         return f"the doubled preference is {j}; it must be at most {n - 1}"
     rest = set(counts) - {j}
     expected = set(range(1, n + 1)) - {j, j + 1}
-    if rest != expected:
-        return (
-            f"the single preferences are {sorted(rest)}; they must be exactly "
-            f"{sorted(expected)} (every spot except {j} and {j + 1})"
-        )
-    return j
+    return (
+        f"the single preferences are {sorted(rest)}; they must be exactly "
+        f"{sorted(expected)} (every spot except {j} and {j + 1})"
+    )
 
 
 def displacement_one_violation(alpha: PreferenceVector | Sequence[int]) -> str | None:

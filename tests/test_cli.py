@@ -494,6 +494,15 @@ def test_env_format(capsys, monkeypatch):
     assert out.splitlines()[0] == "assignment=[1, 2]"
 
 
+def test_bad_env_format(capsys, monkeypatch):
+    monkeypatch.setenv("PARKHANOI_FORMAT", "xml")
+    code, out, err = run(capsys, "park", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: format must be one of json, lines, table, got 'xml'\n"
+    code, out, _ = run(capsys, "--format", "lines", "park", "1")  # the flag wins
+    assert code == 0 and out
+
+
 def test_bad_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("PARKHANOI_BUDGET_N", "many")
     code, _, err = run(capsys, "enumerate", "pf", "--n", "2")

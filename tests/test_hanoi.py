@@ -504,18 +504,16 @@ def test_shortest_wins_match_the_closed_form(n):
 
 
 def test_cut_without_a_meeting_is_not_ok(monkeypatch):
-    # a cut two moves short of n+2 meets no win: the report fails and the
-    # built strategy is refused, rather than either assuming the minimum
+    # a cut two moves short of n+2 meets no win: the report fails rather
+    # than assuming the minimum
     search = hanoi._search
     monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
     report = optimal_strategies_through_ideal(4)
     assert report.min_win_moves is None and report.shortest_path_count == 0
     assert not (report.ok or report.flag_a or report.flag_b or report.flag_c)
-    with pytest.raises(DomainError, match="not a win of the minimum None moves"):
-        shortest_strategy(4)
 
 
-@pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_lines])
+@pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_lines, shortest_strategy])
 def test_cut_without_a_meeting_raises(monkeypatch, call):
     search = hanoi._search
     monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
@@ -631,21 +629,36 @@ def test_strategy_validation():
     s0 = starting_state(2)
     m = HanoiMove(0, 0, 1)
     s1 = apply_move(s0, m)
-    Strategy((m,), (s0, s1))  # fine
+    strategy = Strategy(2, (m,))
+    assert strategy.states == (s0, s1) and strategy.n == 2
+    assert Strategy(2, ()).states == (s0,)
+    with pytest.raises(IllegalMoveError, match=r"^disk 1 is not the top of peg 0$"):
+        Strategy(2, (HanoiMove(1, 0, 1),))
+    with pytest.raises(ValidationError, match="does not fit a game"):
+        Strategy(2, (HanoiMove(0, 0, 3),))
     with pytest.raises(ValidationError):
-        Strategy((m,), (s0, s0))  # wrong successor
-    with pytest.raises(ValidationError):
-        Strategy((m,), (s1, s0))  # does not start at the source stack
-    with pytest.raises(ValidationError):
-        Strategy((m, m), (s0, s1))  # length mismatch
+        Strategy(1, ())
 
 
-def test_strategy_coerces_states_and_refuses_raw_moves():
-    assert Strategy((), ((0, 0, 0),)).states == (starting_state(2),)
-    with pytest.raises(ValidationError, match="at least 3 disks"):
-        Strategy((), ((0, 0),))
+def test_strategy_coerces_moves_and_refuses_raw_moves():
+    m = HanoiMove(0, 0, 1)
+    assert Strategy(2, [m]).moves == (m,)
     with pytest.raises(ValidationError, match=r"^every move of a strategy must be a HanoiMove$"):
-        Strategy(((0, 0, 1),), ((0, 0, 0), (1, 0, 0)))
+        Strategy(2, ((0, 0, 1),))
+
+
+def test_shortest_strategy_applies_each_move_once(monkeypatch):
+    # the strategy's states are built from its moves, not replayed to check them
+    calls = 0
+    apply = hanoi.apply_move
+
+    def counted(state, move):
+        nonlocal calls
+        calls += 1
+        return apply(state, move)
+
+    monkeypatch.setattr(hanoi, "apply_move", counted)
+    assert len(shortest_strategy(5).moves) == calls == 13
 
 
 def test_strategy_json():

@@ -1,8 +1,13 @@
-"""Rules on the package source itself, checked by parsing it."""
+"""Rules on the package source itself, checked by parsing it, and one check that
+runs it under ``python -O``."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import parkhanoi
 
@@ -91,6 +96,32 @@ def test_cli_reads_no_result_by_string_key():
         and isinstance(node.slice.value, str)
     ]
     assert found == []
+
+
+def test_private_names_shared_between_modules_are_pinned():
+    # a new coupling between modules through an underscore name is added here on purpose
+    taken = {p.name: {f.split(":")[2] for f in private_package_names(p)} for p in SOURCES}
+    assert {name: names for name, names in taken.items() if names} == {
+        "bijection.py": {"_check_scan_budget", "_count_reports", "_scan", "_doubled_peg"},
+        "enumeration.py": {"_ideal_orbits"},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "3"], ["solve", "--n", "3"], ["map", "th2pf", "2,2,1,0"]]
+)
+def test_optimised_run_prints_the_same(argv):
+    # ``python -O`` strips asserts, so a run under it must print the same
+    src = str(Path(parkhanoi.__file__).resolve().parent.parent)
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "from parkhanoi.cli import entrypoint; entrypoint()"
+    plain, optimised = (
+        subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True, env=env)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == 0 and plain.stdout
+    assert (optimised.returncode, optimised.stdout) == (plain.returncode, plain.stdout)
 
 
 def test_oracles_take_no_private_name():
