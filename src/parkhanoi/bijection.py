@@ -5,8 +5,8 @@ An ideal state (x_0, ..., x_{n-1}, 0) with doubled peg j maps to the preference
 vector whose (i+1)-th entry is x_i, shifted up by one when x_i > j.  The doubled
 peg becomes the doubled preference, so j is preserved.  The inverse undoes the
 shift: entries above j+1 drop by one (no entry ever equals j+1, since the single
-preferences skip it).  Each map decides its input and reads j in one set pass;
-a Counter pass runs only on a rejected input, to name the broken condition.
+preferences skip it).  Each map decides its input, reads j and words a
+rejection in one set pass.
 
 ``verify_bijection`` checks the map exhaustively at one size; ``verify`` returns
 the whole battery, with the counts and the ideal layer, as a ``VerifyReport``.
@@ -151,9 +151,11 @@ def verify_bijection(
     """
     check_int(n, "n", 1)
     check_int(budget_n, "budget_n", 1)
-    if not check_image:
-        return _bijection_report(n, None)
-    scanned = {a.prefs for a in enumerate_pf_displacement(n, 1, budget_n=budget_n)}
+    scanned = (
+        {a.prefs for a in enumerate_pf_displacement(n, 1, budget_n=budget_n)}
+        if check_image
+        else None
+    )
     return _bijection_report(n, scanned)
 
 

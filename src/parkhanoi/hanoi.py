@@ -193,32 +193,28 @@ def _ideal_violation(state: HanoiState) -> str | int:
     """The doubled peg j (an int) when the state is ideal, or the first
     broken ideal-state condition as a message.
 
-    One set pass decides: the state is ideal exactly when disk n sits on
-    peg 0 and the pegs of disks 0..n-1 take exactly the n-1 values
-    1..n-1, and then j is their sum less 1 + ... + (n-1).  The Counter
-    pass runs only on a state that is not ideal, and only words the
-    rejection: it names the first broken condition."""
+    One set pass decides and words: with disk n on peg 0, one peg holds
+    two of the disks 0..n-1 and the others one each exactly when their
+    pegs take n-1 distinct values.  The state is ideal exactly when these
+    are 1..n-1, and the doubled peg j is their sum less 1 + ... + (n-1);
+    otherwise j is ``sum(low) - sum(pegs)``."""
     x = state.pegs
     n = len(x) - 1
     if x[n] != 0:
         return f"the largest disk sits on peg {x[n]}, not alone on the source peg 0"
     low = x[:n]
     pegs = set(low)
-    if len(pegs) == n - 1 and min(pegs) == 1 and max(pegs) == n - 1:
-        return sum(low) - n * (n - 1) // 2
-    counts = Counter(low)
-    repeated = sorted(p for p, c in counts.items() if c >= 2)
-    if len(repeated) != 1 or counts[repeated[0]] != 2:
-        return "exactly one peg must hold exactly two of the disks 0..n-1"
-    j = repeated[0]
-    if not 1 <= j <= n - 1:
-        return f"the doubled peg is {j}; it must be an interior peg (1..{n - 1})"
-    rest = set(counts) - {j}
-    expected = set(range(1, n)) - {j}
-    return (
-        f"the singly covered pegs are {sorted(rest)}; they must be exactly the "
-        f"other interior pegs {sorted(expected)}"
-    )
+    if len(pegs) == n - 1:
+        if min(pegs) == 1 and max(pegs) == n - 1:
+            return sum(low) - n * (n - 1) // 2
+        j = sum(low) - sum(pegs)
+        if not 1 <= j <= n - 1:
+            return f"the doubled peg is {j}; it must be an interior peg (1..{n - 1})"
+        return (
+            f"the singly covered pegs are {sorted(pegs - {j})}; they must be exactly the "
+            f"other interior pegs {sorted(set(range(1, n)) - {j})}"
+        )
+    return "exactly one peg must hold exactly two of the disks 0..n-1"
 
 
 def is_ideal_state(state: HanoiState | Sequence[int]) -> bool:

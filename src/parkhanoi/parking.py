@@ -14,7 +14,6 @@ Everything here is an immutable value, and every function is pure.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -142,11 +141,10 @@ def _shape_violation(alpha: PreferenceVector) -> str | int:
     """The doubled preference j (an int) when alpha has the
     displacement-one shape, or the first broken condition as a message.
 
-    One set pass decides: alpha has the shape exactly when it takes n-1
-    distinct values and the doubled one, ``sum(prefs) - sum(values)``,
-    is one less than the missing one, ``1 + ... + n - sum(values)``.
-    The Counter pass runs only on a vector without the shape, and only
-    words the rejection: it names the first broken condition."""
+    One set pass decides and words: alpha has one value twice and the
+    rest once exactly when it takes n-1 distinct values; the doubled one
+    is then ``sum(prefs) - sum(values)``, and alpha has the shape exactly
+    when it is one less than the missing one, ``1 + ... + n - sum(values)``."""
     prefs = alpha.prefs
     n = len(prefs)
     values = set(prefs)
@@ -155,19 +153,13 @@ def _shape_violation(alpha: PreferenceVector) -> str | int:
         j = sum(prefs) - total
         if j == n * (n + 1) // 2 - total - 1:
             return j
-    counts = Counter(prefs)
-    repeated = sorted(v for v, c in counts.items() if c >= 2)
-    if len(repeated) != 1 or counts[repeated[0]] != 2:
-        return "exactly one preference value must appear exactly twice"
-    j = repeated[0]
-    if j > n - 1:
-        return f"the doubled preference is {j}; it must be at most {n - 1}"
-    rest = set(counts) - {j}
-    expected = set(range(1, n + 1)) - {j, j + 1}
-    return (
-        f"the single preferences are {sorted(rest)}; they must be exactly "
-        f"{sorted(expected)} (every spot except {j} and {j + 1})"
-    )
+        if j > n - 1:
+            return f"the doubled preference is {j}; it must be at most {n - 1}"
+        return (
+            f"the single preferences are {sorted(values - {j})}; they must be exactly "
+            f"{sorted(set(range(1, n + 1)) - {j, j + 1})} (every spot except {j} and {j + 1})"
+        )
+    return "exactly one preference value must appear exactly twice"
 
 
 def displacement_one_violation(alpha: PreferenceVector | Sequence[int]) -> str | None:

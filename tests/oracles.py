@@ -7,6 +7,7 @@ enumerators and the maps it is given, so it certifies the report's
 bookkeeping, not the maps.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import product
 from math import comb, factorial
@@ -75,6 +76,50 @@ def bijection_report_naive(n, th_to_pf, pf_to_th, scanned=None):
         "round_trip_states_ok": all([pf_to_th(th_to_pf(x)) == x for x in states]),
         "round_trip_prefs_ok": all([th_to_pf(pf_to_th(a)) == a for a in vectors]),
     }
+
+
+def shape_violation_naive(prefs):
+    """Why prefs lacks the displacement-one shape, or None: each condition
+    in turn, worded from a Counter of the entries."""
+    n = len(prefs)
+    counts = Counter(prefs)
+    repeated = sorted(v for v, c in counts.items() if c >= 2)
+    if len(repeated) != 1 or counts[repeated[0]] != 2:
+        return "exactly one preference value must appear exactly twice"
+    j = repeated[0]
+    if j > n - 1:
+        return f"the doubled preference is {j}; it must be at most {n - 1}"
+    rest = set(counts) - {j}
+    expected = set(range(1, n + 1)) - {j, j + 1}
+    if rest == expected:
+        return None
+    return (
+        f"the single preferences are {sorted(rest)}; they must be exactly "
+        f"{sorted(expected)} (every spot except {j} and {j + 1})"
+    )
+
+
+def ideal_violation_naive(pegs):
+    """Why pegs is not an ideal state, or None: each condition in turn,
+    worded from a Counter of the pegs of disks 0..n-1."""
+    n = len(pegs) - 1
+    if pegs[n] != 0:
+        return f"the largest disk sits on peg {pegs[n]}, not alone on the source peg 0"
+    counts = Counter(pegs[:n])
+    repeated = sorted(p for p, c in counts.items() if c >= 2)
+    if len(repeated) != 1 or counts[repeated[0]] != 2:
+        return "exactly one peg must hold exactly two of the disks 0..n-1"
+    j = repeated[0]
+    if not 1 <= j <= n - 1:
+        return f"the doubled peg is {j}; it must be an interior peg (1..{n - 1})"
+    rest = set(counts) - {j}
+    expected = set(range(1, n)) - {j}
+    if rest == expected:
+        return None
+    return (
+        f"the singly covered pegs are {sorted(rest)}; they must be exactly the "
+        f"other interior pegs {sorted(expected)}"
+    )
 
 
 def ideal_by_definition(vec):

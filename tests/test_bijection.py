@@ -32,7 +32,12 @@ from parkhanoi import (
 )
 from parkhanoi.cli import main
 
-from oracles import bijection_report_naive, pf_with_displacement
+from oracles import (
+    bijection_report_naive,
+    ideal_violation_naive,
+    pf_with_displacement,
+    shape_violation_naive,
+)
 from test_cli import force_failures, verify_n2_obj
 
 
@@ -179,40 +184,6 @@ def test_maps_build_no_witness(monkeypatch):
     assert built == []
 
 
-@pytest.fixture
-def counters_made(monkeypatch):
-    """Patch ``Counter`` in both shape-checking modules; the list records each one built."""
-    made = []
-    for module in (parkhanoi.hanoi, parkhanoi.parking):
-
-        def spy(*args, _real=module.Counter):
-            made.append(args)
-            return _real(*args)
-
-        monkeypatch.setattr(module, "Counter", spy)
-    return made
-
-
-@pytest.mark.parametrize(
-    "call, valid, invalid",
-    [
-        (ideal_witness, (1, 2, 1, 0), (1, 1, 1, 0)),
-        (th_to_pf, (1, 2, 1, 0), (1, 1, 1, 0)),
-        (doubled_preference, (1, 3, 1), (1, 1, 1)),
-        (pf_to_th, (1, 3, 1), (1, 1, 1)),
-    ],
-    ids=["ideal_witness", "th_to_pf", "doubled_preference", "pf_to_th"],
-)
-def test_one_counter_per_call(counters_made, call, valid, invalid):
-    """A valid input is decided without a Counter; a rejected one builds
-    exactly one, to name the broken condition."""
-    call(valid)
-    assert counters_made == []
-    with pytest.raises(DomainError):
-        call(invalid)
-    assert len(counters_made) == 1
-
-
 def outcome(call, value):
     """What ``call(value)`` returns, or the text of the DomainError it raises."""
     try:
@@ -242,6 +213,24 @@ def test_parking_side_agrees_over_the_cube(n):
             assert state == j == f"not a displacement-one parking function: {violation}"
         else:
             assert violation is None and ideal_witness(state).doubled_peg == j
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_shape_violation_is_the_counter_wording(n):
+    # the set pass words each rejection as a Counter of the entries would
+    for vec in product(range(1, n + 1), repeat=n):
+        assert displacement_one_violation(vec) == shape_violation_naive(vec)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_ideal_violation_is_the_counter_wording(n):
+    for vec in product(range(n + 1), repeat=n + 1):
+        found = ideal_violation_naive(vec)
+        image = outcome(th_to_pf, vec)
+        if found is None:
+            assert isinstance(image, PreferenceVector)
+        else:
+            assert image == "not an ideal state: " + found
 
 
 def outcomes_digest(call, vectors):
