@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="cap on the peg-symmetry orbits one state-graph search may visit and on "
         f"the nodes of the solve --dot tree (default {DEFAULT_STATE_BUDGET}, enough for "
-        f"n <= 11, and n <= 7 with --dot; env {ENV_PREFIX}BUDGET_STATES)",
+        f"n <= 12, and n <= 7 with --dot; env {ENV_PREFIX}BUDGET_STATES)",
     )
     parser.add_argument(
         "--budget-n",

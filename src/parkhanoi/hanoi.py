@@ -16,7 +16,7 @@ the searches below verify exhaustively that the minimum win takes 2n+3
 moves and that every minimum win sits in an ideal state right after
 move n+1.  They share one breadth-first search from the start over the
 orbits of the interior-peg relabelling, which fixes the start and the
-end, cut at depth n+2 and met in the middle through the 0/n peg swap,
+end, cut at depth n+1 and met in the middle through the 0/n peg swap,
 and cap the orbits it visits by a budget; ``dot_ideal_lines`` caps the
 nodes of its tree by the same budget, then streams the tree.
 
@@ -37,7 +37,7 @@ from .errors import BudgetExceededError, DomainError, IllegalMoveError, Validati
 from .errors import check_int, numerals, parse_vector
 
 #: Default cap on the orbits one state-graph search visits, and on the nodes
-#: of the DOT tree: the search fits for n <= 11 (370,937 orbits), the tree for
+#: of the DOT tree: the search fits for n <= 12 (371,269 orbits), the tree for
 #: n <= 7 (212,366 nodes; n = 8 has 2,525,490).
 DEFAULT_STATE_BUDGET = 7**7
 
@@ -313,9 +313,9 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 # stacking order is implicit, and the move graph connects them all.
 # Relabelling the interior pegs 1..n-1 maps moves to moves and fixes both
 # the start and the end, so one breadth-first search from the start cut at
-# depth n+2, ``_search``, visits one canonical vector per orbit of that
+# depth n+1, ``_search``, visits one canonical vector per orbit of that
 # relabelling: interior pegs renumbered 1, 2, ... in the order their smallest
-# disk appears.  For n = 7 it visits 4,379 orbits, of the graph's 94,783
+# disk appears.  For n = 7 it visits 1,590 orbits, of the graph's 94,783
 # orbits and 16.7 M vectors.
 #
 # - Path counts are orbit totals: C[O] sums the shortest-path counts of
@@ -324,27 +324,46 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 #   vector of orbit(u) has the same moves up to relabelling.
 # - Swapping pegs 0 and n maps the start to the end and commutes with the
 #   relabelling, so dist_end(v) = dist_start(swap v): one search from the
-#   start serves both ends, and ``_meet_in_the_middle`` applies the swap.
-# - Meeting in the middle needs only depth n+2.  Every visited pair v,
-#   swap v is a win of d(v) + d(swap v) moves, and a shortest win of
-#   L <= 2n+4 moves passes a v with d(v) = floor(L/2) and d(swap v) =
-#   ceil(L/2), both within the cut, so the minimum over pairs is exactly L
-#   (``_meet_in_the_middle``).  The 2n+3-move win of ``_win_moves`` shows
-#   that L <= 2n+4 holds, and where no pair exists the analysis fails.
+#   start serves both ends.
+# - Meeting in the middle needs only depth n+1.  Every visited pair v,
+#   swap v is a win of d(v) + d(swap v) moves, and a win of L <= 2n+2
+#   moves passes a v with d(v) = floor(L/2) and d(swap v) = ceil(L/2),
+#   both at most n+1.  So with no such pair no win is shorter than 2n+3
+#   moves (``_cut``), and one of 2n+3 moves steps from depth n+1 to the
+#   swap of depth n+1, the step that ``_meet_in_the_middle`` probes for.
 # - Moves onto the empty interior pegs of a vector all land in one orbit,
 #   so the kernel makes one of them, weighted by how many there are.
 # - ``_ideal_orbits`` finds the ideal orbits by filtering canonical vectors.
 
 _Vec = tuple[int, ...]  # a peg vector, one entry per disk
+_Dist = dict[_Vec, int]  # a distance or a path count per orbit
 
 
-def _canonical(vec: Sequence[int], n: int) -> tuple[int, ...]:
-    """Orbit representative: interior pegs renumbered by first appearance."""
-    label = {0: 0, n: n}
-    for peg in dict.fromkeys(vec):
-        if peg not in label:
-            label[peg] = len(label) - 1
-    return tuple(map(label.__getitem__, vec))
+class _Orbits(dict):
+    """Orbits of the interior-peg relabelling: ``orbits(vec)`` is vec's canonical
+    vector, its interior pegs renumbered 1, 2, ... by first appearance through
+    the relabelling ``orbits[tuple(dict.fromkeys(vec))]``, built once per order."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __missing__(self, order: _Vec) -> Callable[[int], int]:
+        n, interior = self.n, [p for p in order if 0 < p < self.n]
+        label = self[order] = {0: 0, n: n, **dict(zip(interior, range(1, n)))}.__getitem__
+        return label
+
+    def __call__(self, vec: Sequence[int]) -> _Vec:
+        return tuple(map(self[tuple(dict.fromkeys(vec))], vec))
+
+    def swap(self, vec: Sequence[int]) -> _Vec:  # its distance from the start is vec's to the end
+        return self([self.n if p == 0 else 0 if p == self.n else p for p in vec])
+
+    def moves(self, u: _Vec) -> Iterator[tuple[_Vec, int]]:
+        """Each move of the canonical u as the orbit it reaches and how many it stands for."""
+        n, k = self.n, len(set(u) - {0, self.n})  # interior pegs 1..k are in use
+        spare = k + 1 if k < n - 1 else None  # stands for all n-1-k empty ones
+        for _, _, to_peg, w in _successors(u, n, (*range(min(k + 2, n)), n)):
+            yield tuple(map(self[tuple(dict.fromkeys(w))], w)), n - 1 - k if to_peg == spare else 1
 
 
 def _orbit_size(rep: tuple[int, ...], n: int) -> int:
@@ -377,37 +396,28 @@ def _successors(
                 yield disk, from_peg, to_peg, vec[:disk] + (to_peg,) + vec[disk + 1 :]
 
 
-def _search(n: int, budget_states: int, depth: int) -> tuple[dict[_Vec, int], dict[_Vec, int]]:
-    """Layered breadth-first search over orbits from the start, to ``depth`` moves.
-
-    Returns each visited orbit's distance and orbit-total count of shortest
-    paths from the start, exact at every depth reached; raises
-    BudgetExceededError past ``budget_states`` orbits.
-    """
+def _search(n: int, budget_states: int, depth: int, orbits: _Orbits | None = None) -> tuple[
+    _Dist, _Dist
+]:
+    """Layered breadth-first search over orbits from the start, to ``depth`` moves:
+    each visited orbit's distance and orbit-total count of shortest paths from
+    the start, exact at every depth reached.  Raises BudgetExceededError past
+    ``budget_states`` orbits.  The relabellings stay in ``orbits`` if passed."""
     check_int(n, "n", 2)
     check_int(budget_states, "budget_states", 1)
+    orbits = _Orbits(n) if orbits is None else orbits
     dist = {(0,) * (n + 1): 0}
     count = dict.fromkeys(dist, 1)
-    # the relabelling of each order in which pegs first appear, built once
-    labels: dict[tuple[int, ...], Callable[[int], int]] = {}
     frontier = list(dist)
     for level in range(1, depth + 1):
         nxt = []
         for u in frontier:
-            k = len(set(u) - {0, n})  # interior pegs 1..k are in use
-            spare = k + 1 if k < n - 1 else None  # stands for all n-1-k empty ones
             paths_u = count[u]
-            for _, _, to_peg, w in _successors(u, n, (*range(min(k + 2, n)), n)):
-                key = tuple(dict.fromkeys(w))
-                label = labels.get(key)
-                if label is None:
-                    label = labels[key] = dict(zip(key, _canonical(key, n))).__getitem__
-                w = tuple(map(label, w))
-                paths = paths_u * (n - 1 - k) if to_peg == spare else paths_u
+            for w, times in orbits.moves(u):
                 seen = dist.get(w)
                 if seen is None:
                     dist[w] = level
-                    count[w] = paths
+                    count[w] = paths_u * times
                     nxt.append(w)
                     if len(dist) > budget_states:
                         raise BudgetExceededError(
@@ -416,34 +426,44 @@ def _search(n: int, budget_states: int, depth: int) -> tuple[dict[_Vec, int], di
                             f"to search it"
                         )
                 elif seen == level:
-                    count[w] += paths
+                    count[w] += paths_u * times
         frontier = nxt
     return dist, count
 
 
-def _meet_in_the_middle(n: int, budget_states: int) -> tuple[
-    dict[_Vec, int], dict[_Vec, int], dict[_Vec, _Vec], set[_Vec], int | None
-]:
-    """The search cut at depth n+2, met in the middle through the 0/n swap.
+def _cut(n: int, budget_states: int) -> tuple[_Dist, _Dist, _Orbits, int | None]:
+    """The search cut at depth n+1, its orbits, and its least d(o) + d(swap o), or None."""
+    orbits = _Orbits(n)
+    dist, count = _search(n, budget_states, n + 1, orbits)
+    inside = (d + dist[s] for o, d in dist.items() if (s := orbits.swap(o)) in dist)
+    return dist, count, orbits, min(inside, default=None)
 
-    Swaps pegs 0 and n of each visited orbit, then canonicalises.  Returns its
-    distances and counts, each visited orbit whose swap was visited too mapped
-    to that swap, the mid layer (the orbits n+1 moves into a shortest win) and
-    the minimum win length: the least d(v) + d(swap v) over those pairs, or
-    None when there is none, so no win takes 2n+4 moves or fewer.
-    """
-    dist, count = _search(n, budget_states, n + 2)
-    swap = {0: n, n: 0}
-    pairs = {o: s for o in dist if (s := _canonical(tuple(map(swap.get, o, o)), n)) in dist}
-    min_win = min((dist[o] + dist[s] for o, s in pairs.items()), default=None)
-    mid = {o for o, s in pairs.items() if dist[o] == n + 1 and dist[o] + dist[s] == min_win}
-    return dist, count, pairs, mid, min_win
+
+def _meet_in_the_middle(n: int, budget_states: int) -> tuple[
+    _Dist, _Dist, _Orbits, _Dist, int | None
+]:
+    """The cut search met in the middle: its distances, counts and orbits, the
+    mid layer (the orbits n+1 moves into a shortest win) mapped to each of its
+    vectors' shortest routes on to the end, and the minimum win, or None if no
+    win takes 2n+3 moves or fewer.  With no win inside the cut, the probe finds
+    each depth-(n+1) orbit's moves onto the swap s of one: C(s)/|s| routes each."""
+    dist, count, orbits, min_win = _cut(n, budget_states)
+    last = [o for o, d in dist.items() if d == n + 1]
+    if min_win is None:
+        closing = {orbits.swap(s): count[s] // _orbit_size(s, n) for s in last}
+        ends = ((o, sum(closing.get(w, 0) * m for w, m in orbits.moves(o))) for o in last)
+    else:  # the state n+1 moves into a win inside the cut has its swap there too
+        swaps = ((o, orbits.swap(o)) for o in last)
+        ends = ((o, count[s] // _orbit_size(s, n)) for o, s in swaps
+                if dist.get(s) == min_win - n - 1)
+    mid = {o: e for o, e in ends if e}
+    return dist, count, orbits, mid, min_win or (2 * n + 3 if mid else None)
 
 
 def _met(min_win: int | None, n: int) -> int:
     """The cut's minimum win; raises DomainError when the cut met no win."""
     if min_win is None:
-        raise DomainError(f"the search for n={n} cut at depth {n + 2} meets no win")
+        raise DomainError(f"the search for n={n} cut at depth {n + 1} meets no win")
     return min_win
 
 
@@ -471,14 +491,18 @@ def _win_moves(n: int) -> list[tuple[int, int, int]]:
 def shortest_strategy(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Strategy:
     """One minimum-length winning strategy, built and then certified.
 
-    The moves are the fixed 2n+3-move pattern of ``_win_moves``, equal to
-    the lexicographically smallest shortest win wherever that was computed
-    (n = 2..8).  ``Strategy`` builds the states, ``apply_move`` checking each
-    move; the search cut at depth n+2 then certifies that they win in exactly
-    the minimum number of moves.  Raises DomainError if either check fails.
+    The moves are the fixed 2n+3-move pattern of ``_win_moves``, equal to the
+    lexicographically smallest shortest win wherever that was computed (n =
+    2..8); ``Strategy`` checks each move.  With no win inside the cut none is
+    shorter, and the cut meets this one when the state after move n+1 and the
+    swap of the state after move n+2 sit at depth n+1.  Raises DomainError if
+    the cut meets no win or the moves are not a win of the minimum length.
     """
-    min_win = _met(_meet_in_the_middle(n, budget_states)[-1], n)
+    dist, _, orbits, min_win = _cut(n, budget_states)
     strategy = Strategy(n, tuple(HanoiMove(*m) for m in _win_moves(n)))
+    around = zip((orbits, orbits.swap), strategy.states[n + 1 :])  # after moves n+1 and n+2
+    met = [dist.get(orbit(s.pegs)) for orbit, s in around] == [n + 1, n + 1]
+    min_win = _met(min_win or (2 * n + 3 if met else None), n)
     if (end := strategy.states[-1]) != ending_state(n) or len(strategy.moves) != min_win:
         raise DomainError(
             f"the built strategy for n={n} ends at {end.to_text()} after "
@@ -492,24 +516,22 @@ def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Ite
     start to an ideal state, streamed in print order.
 
     A state k <= n+1 moves into a shortest win is one k moves from the start
-    with a neighbour k+1 moves into one; at k = n+1 these are the cut search's
-    mid layer.  So the orbits on a win are marked back from there, and the tree
-    has one node per shortest route to a marked state.  The search, the marking
-    and the node count run before this returns, so BudgetExceededError (nodes
-    over ``budget_states``) and DomainError (the cut meets no win) come before
-    any line.  Where flags (a)-(c) of ``optimal_strategies_through_ideal``
-    hold, the paths are exactly the shortest routes to the ideal states.
-    Children come in (disk, from, to) order, so the leftmost path starts
-    ``shortest_strategy``; they are found once per orbit and carried to each
-    vector by relabelling: the representative's interior pegs go to the
+    with a neighbour k+1 moves into one, so the orbits on a win are marked back
+    from the mid layer; the tree has one node per shortest route to them.  The
+    search, marking and node count run first, so BudgetExceededError (nodes
+    over ``budget_states``) and DomainError (no win met) come before any line.
+    Where flags (a)-(c) of ``optimal_strategies_through_ideal`` hold, the paths
+    are the shortest routes to the ideal states.  Children come in (disk, from,
+    to) order, so the leftmost path starts ``shortest_strategy``; found once per
+    orbit, they map to each vector: the representative's interior pegs go to the
     vector's in order of first appearance, then to its empty ones, ascending.
     """
-    dist, count, _, mid, min_win = _meet_in_the_middle(n, budget_states)
+    dist, count, orbits, mid, min_win = _meet_in_the_middle(n, budget_states)
     _met(min_win, n)
-    on_win = [mid]  # on_win[k]: the orbits k moves into a shortest win
+    on_win = [mid.keys()]  # on_win[k]: the orbits k moves into a shortest win
     for k in range(n, -1, -1):
-        steps = (u for w in on_win[0] for *_, u in _successors(w, n, range(n + 1)))
-        on_win.insert(0, {c for u in steps if dist[c := _canonical(u, n)] == k})
+        steps = (w for o in on_win[0] for w, _ in orbits.moves(o))
+        on_win.insert(0, {w for w in steps if dist.get(w) == k})
     nodes = sum(count[o] for layer in on_win for o in layer)
     if nodes > budget_states:
         raise BudgetExceededError(
@@ -524,10 +546,10 @@ def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Ite
         if found is None:
             order = [p for p in dict.fromkeys(vec) if 0 < p < n]
             peg = [0, *order, *(p for p in range(1, n) if p not in order), n]  # label -> peg
-            rep = _canonical(vec, n)
+            rep = orbits(vec)
             if rep not in moves:
                 steps = _successors(rep, n, range(n + 1))
-                moves[rep] = [(d, t) for d, _, t, w in steps if _canonical(w, n) in on_win[depth]]
+                moves[rep] = [(d, t) for d, _, t, w in steps if orbits(w) in on_win[depth]]
             found = children[vec] = [
                 (child := vec[:d] + (to,) + vec[d + 1 :], ",".join(map(str, child)))
                 for d, to in sorted((d, peg[to]) for d, to in moves[rep])
@@ -566,7 +588,7 @@ class IdealLayerReport:
     Flags: (a) every ideal state is exactly n+1 moves from the start,
     (b) exactly n+2 moves from the end, and (c) every minimum-length win
     passes through exactly one ideal state, right after move n+1.
-    ``min_win_moves`` is None when no win takes 2n+4 moves or fewer.
+    ``min_win_moves`` is None when no win takes 2n+3 moves or fewer.
     """
 
     n: int
@@ -599,23 +621,19 @@ def optimal_strategies_through_ideal(
 ) -> IdealLayerReport:
     """Verify, not assume, how minimum-length wins relate to ideal states.
 
-    One breadth-first search cut at depth n+2, with orbit-total
-    shortest-path counts, gives the distances from the start, and through
-    the 0/n peg swap those to the end; meeting in the middle gives the
-    minimum win L (see ``_meet_in_the_middle``).  On a shortest win the
-    state after k moves has distance k from the start and L-k from the
-    end, so flag (c) reduces to: given (a), (b) and L = 2n+3, the on-path
-    layer at k = n+1 equals the ideal set exactly.  Both sets are unions of
-    orbits, so comparing orbits suffices.  Every distance and count read
-    lies at depth n+1 or n+2, inside the cut, where the search is exact.  A
-    mid-layer orbit O carries C(O)*C(swap O)/|O| shortest wins.
+    The cut search met in the middle gives the minimum win L.  On a shortest
+    win the state after k moves is k from the start and L-k from the end, so
+    given (a), (b) and L = 2n+3, flag (c) holds when the mid layer is the
+    ideal set; both are unions of orbits.  An orbit is n+2 from the end when
+    its swap lies past the cut and the probe saw it close a win.  A mid-layer
+    orbit O carries C(O) times its routes on to the end in shortest wins.
     """
-    dist, count, pairs, mid_layer, min_win = _meet_in_the_middle(n, budget_states)
+    dist, count, orbits, mid_layer, min_win = _meet_in_the_middle(n, budget_states)
     ideal = _ideal_orbits(n)
     flag_a = all(dist.get(o) == n + 1 for o in ideal)
-    flag_b = all(o in pairs and dist[pairs[o]] == n + 2 for o in ideal)
-    path_count = sum(count[o] * count[pairs[o]] // _orbit_size(o, n) for o in mid_layer)
-    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer == ideal.keys()
+    flag_b = all(o in mid_layer and orbits.swap(o) not in dist for o in ideal)
+    path_count = sum(count[o] * ends for o, ends in mid_layer.items())
+    flag_c = flag_a and flag_b and min_win == 2 * n + 3 and mid_layer.keys() == ideal.keys()
     return IdealLayerReport(
         n=n, ideal_count=ideal.total(), min_win_moves=min_win, ideal_at_level=n + 1,
         shortest_path_count=path_count, flag_a=flag_a, flag_b=flag_b, flag_c=flag_c,

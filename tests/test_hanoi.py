@@ -313,7 +313,7 @@ def test_enumerator_count(n):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_ideal_orbits_are_the_enumerated_orbits(n):
     # the orbit filter and the constructive enumerator share no code
-    enumerated = (hanoi._canonical(s.pegs, n) for s in enumerate_ideal_states(n))
+    enumerated = map(hanoi._Orbits(n), (s.pegs for s in enumerate_ideal_states(n)))
     assert hanoi._ideal_orbits(n) == Counter(enumerated)
 
 
@@ -339,17 +339,17 @@ def test_shortest_win_length(n, expected):
 
 def test_search_budget():
     with pytest.raises(BudgetExceededError):
-        shortest_win_length(4, budget_states=100)
+        shortest_win_length(4, budget_states=50)
     with pytest.raises(BudgetExceededError):
-        optimal_strategies_through_ideal(4, budget_states=100)
+        optimal_strategies_through_ideal(4, budget_states=50)
     with pytest.raises(BudgetExceededError):
-        shortest_strategy(4, budget_states=100)
+        shortest_strategy(4, budget_states=50)
     with pytest.raises(BudgetExceededError):
-        dot_ideal_lines(4, budget_states=100)
+        dot_ideal_lines(4, budget_states=50)
 
 
-# orbits within n+2 moves of the start, which the depth-cut search visits
-CUT_ORBITS = {2: 11, 3: 45, 4: 158, 5: 496, 6: 1483}
+# orbits within n+1 moves of the start, which the depth-cut search visits
+CUT_ORBITS = {2: 9, 3: 28, 4: 77, 5: 210, 6: 573}
 # nodes of the DOT tree: shortest routes to the states on a shortest win, to depth n+1
 TREE_NODES = {2: 4, 3: 28, 4: 212, 5: 1914, 6: 19302}
 
@@ -357,8 +357,8 @@ TREE_NODES = {2: 4, 3: 28, 4: 212, 5: 1914, 6: 19302}
 @pytest.mark.parametrize("n", range(2, 7))
 def test_budget_counts_visited_orbits(n):
     # every entry point fits a budget of exactly the orbits its search visits
-    # and not one less: the search cut at depth n+2 visits the orbits within
-    # n+2 moves, and the DOT tree must also fit its nodes in the budget
+    # and not one less: the search cut at depth n+1 visits the orbits within
+    # n+1 moves, and the DOT tree must also fit its nodes in the budget
     for search, budget in (
         (shortest_win_length, CUT_ORBITS[n]),
         (dot_ideal_lines, max(CUT_ORBITS[n], TREE_NODES[n])),
@@ -372,8 +372,9 @@ def test_budget_counts_visited_orbits(n):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_cut_orbits_are_the_orbits_within_n_plus_2(n):
-    assert len({orbit_key(v) for v in vector_oracle(n).dist_start}) == CUT_ORBITS[n]
+def test_cut_orbits_are_the_orbits_within_n_plus_1(n):
+    within = (v for v, d in vector_oracle(n).dist_start.items() if d <= n + 1)
+    assert len(set(map(orbit_key, within))) == CUT_ORBITS[n]
 
 
 @pytest.mark.parametrize("n", range(2, 7))  # n = 7 agrees too, outside the suite
@@ -411,7 +412,7 @@ def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
     def counted_search(*args):
         nonlocal searches
         searches += 1
-        assert args[2] == 5 + 2  # cut at depth n+2
+        assert args[2] == 5 + 1  # cut at depth n+1
         return search(*args)
 
     monkeypatch.setattr(HanoiState, "__post_init__", counted_state)
@@ -432,8 +433,8 @@ def test_dot_lines_raise_at_the_call(monkeypatch):
     with pytest.raises(BudgetExceededError, match="has 212 nodes, over the budget of 211"):
         dot_ideal_lines(4, budget_states=TREE_NODES[4] - 1)
     search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
-    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 6 meets no win$"):
+    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth, o: search(n, b, depth - 2, o))
+    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 5 meets no win$"):
         dot_ideal_lines(4)
 
 
@@ -499,10 +500,10 @@ def test_shortest_wins_match_the_closed_form(n):
 
 
 def test_cut_without_a_meeting_is_not_ok(monkeypatch):
-    # a cut two moves short of n+2 meets no win: the report fails rather
+    # a cut two moves short of n+1 meets no win: the report fails rather
     # than assuming the minimum
     search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
+    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth, o: search(n, b, depth - 2, o))
     report = optimal_strategies_through_ideal(4)
     assert report.min_win_moves is None and report.shortest_path_count == 0
     assert not (report.ok or report.flag_a or report.flag_b or report.flag_c)
@@ -511,9 +512,54 @@ def test_cut_without_a_meeting_is_not_ok(monkeypatch):
 @pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_lines, shortest_strategy])
 def test_cut_without_a_meeting_raises(monkeypatch, call):
     search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, budget, depth: search(n, budget, depth - 2))
-    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 6 meets no win$"):
+    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth, o: search(n, b, depth - 2, o))
+    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 5 meets no win$"):
         call(4)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_probe_counts_each_mid_orbit_as_the_vector_oracle(n):
+    # the last layer is never stored: each mid orbit's wins, C(o) times the
+    # routes on from one of its vectors, against the vectors' own counts
+    oracle = vector_oracle(n)
+    _, count, _, mid, min_win = hanoi._meet_in_the_middle(n, hanoi.DEFAULT_STATE_BUDGET)
+    assert min_win == oracle.min_win == 2 * n + 3
+    assert {orbit_key(o) for o in mid} == {orbit_key(v) for v in oracle.on_win[n + 1]}
+    for o, ends in mid.items():
+        vecs = [v for v in oracle.dist_start if orbit_key(v) == orbit_key(o)]
+        assert count[o] * ends == sum(oracle.ways_start[v] * oracle.ways_end[v] for v in vecs)
+
+
+@pytest.mark.parametrize("vec, min_win, wins", [((2, 2, 2), 3, 1), ((1, 1, 2), 6, 2)])
+def test_a_win_inside_the_cut_is_the_minimum(monkeypatch, vec, min_win, wins):
+    # a fake shortcut puts vec 3 moves from the start: the end, for a win of 3
+    # moves, or the swap of the ideal state, for wins of 6 through it; either
+    # lies inside the cut, so every entry point reports it and flag (b) fails
+    search = hanoi._search
+
+    def shortcut(n, budget, depth, orbits):
+        dist, count = search(n, budget, depth, orbits)
+        dist[vec], count[vec] = n + 1, 1
+        return dist, count
+
+    monkeypatch.setattr(hanoi, "_search", shortcut)
+    assert shortest_win_length(2) == min_win
+    report = optimal_strategies_through_ideal(2)
+    assert (report.min_win_moves, report.shortest_path_count) == (min_win, wins)
+    assert report.flag_a and not (report.flag_b or report.flag_c or report.ok)
+    with pytest.raises(DomainError, match=f"after 7 moves, not a win of the minimum {min_win} "):
+        shortest_strategy(2)
+
+
+def test_strategy_the_cut_does_not_meet_is_refused(monkeypatch):
+    # a legal 13-move win at n = 4 that idles first: the state after move 5 is
+    # 3 moves from the start, so the cut certifies no win by it
+    build = hanoi._win_moves
+    monkeypatch.setattr(hanoi, "_win_moves", lambda n: [(0, 0, 1), (0, 1, 0), *build(n)])
+    moves = [HanoiMove(*m) for m in hanoi._win_moves(4)]
+    assert Strategy(4, moves).states[-1] == ending_state(4)
+    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 5 meets no win$"):
+        shortest_strategy(4)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
