@@ -10,10 +10,6 @@ rejection in one set pass.
 
 ``verify_bijection`` checks the map exhaustively at one size; ``verify`` returns
 the whole battery, with the counts and the ideal layer, as a ``VerifyReport``.
-Each pair's round trip is computed once: the maps are pure, so when
-``pf_to_th`` takes th_to_pf(x) = a back to x, th_to_pf(pf_to_th(a)) = a
-follows, and the parking-side pass recomputes only the vectors the
-tower-side pass did not settle.
 """
 
 from __future__ import annotations
@@ -144,10 +140,8 @@ def verify_bijection(
     once each, keeping one set of entry tuples per side, and checks: the
     map is injective; its image equals the constructive set and (when
     ``check_image``) the brute-force scan of [n]^n; both round trips are
-    the identity; and both streams yield n!(n-1)/2 items.  A vector whose
-    state the tower-side round trip already recovered is not mapped
-    again: for pure maps its parking-side round trip follows.  n = 1
-    passes vacuously on empty streams.
+    the identity; and both streams yield n!(n-1)/2 items.  n = 1 passes
+    vacuously on empty streams.
     """
     check_int(n, "n", 1)
     check_int(budget_n, "budget_n", 1)
@@ -163,31 +157,32 @@ def _bijection_report(n: int, scanned: set[tuple[int, ...]] | None) -> Bijection
     """``verify_bijection``'s report, with the image checked against the
     scanned displacement-one entry tuples, or not checked when it is None.
 
-    ``image`` maps each image vector's entries to whether the first pass saw
-    ``pf_to_th`` take the vector back to a state it came from.  If so,
-    th_to_pf sends that state back to the vector, and the second pass
-    skips its round trip.  For pure maps, every field and every exception
-    a map raises are those of running each round trip in turn until the
-    first one fails."""
-    image: dict[tuple[int, ...], bool] = {}
+    A constructive vector's round trip is skipped exactly when every
+    tower-side round trip held and the vector is in the image: then it is
+    th_to_pf(x) for a state x that pf_to_th took it back to, so for pure
+    maps th_to_pf(pf_to_th(a)) = a follows from calls that already returned.
+    Every field and exception is that of running each round trip in turn
+    until the first one fails."""
+    image: set[tuple[int, ...]] = set()
     structural: set[tuple[int, ...]] = set()
     ideal_count = pf_count = 0
     round_states = round_prefs = True
     for ideal_count, x in enumerate(enumerate_ideal_states(n), 1):
         a = th_to_pf(x)
         round_states = round_states and pf_to_th(a) == x
-        image[a.prefs] = round_states or image.get(a.prefs, False)
+        image.add(a.prefs)
     for pf_count, a in enumerate(generate_displacement_one(n), 1):
         structural.add(a.prefs)
-        round_prefs = round_prefs and (image.get(a.prefs, False) or th_to_pf(pf_to_th(a)) == a)
+        skip = round_states and a.prefs in image
+        round_prefs = round_prefs and (skip or th_to_pf(pf_to_th(a)) == a)
     return BijectionReport(
         n=n,
         ideal_count=ideal_count,
         pf_count=pf_count,
         expected_count=lah_count(n),
         injective=len(image) == ideal_count,
-        structural_image_matches=image.keys() == structural,
-        brute_image_matches=None if scanned is None else image.keys() == scanned,
+        structural_image_matches=image == structural,
+        brute_image_matches=None if scanned is None else image == scanned,
         round_trip_states_ok=round_states,
         round_trip_prefs_ok=round_prefs,
     )

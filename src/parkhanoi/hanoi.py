@@ -91,15 +91,16 @@ def as_state(value: HanoiState | Sequence[int]) -> HanoiState:
     """Coerce a raw peg vector, validating it."""
     if isinstance(value, HanoiState):
         return value
-    return HanoiState(tuple(value))
+    return HanoiState(value)
 
 
 @dataclass(frozen=True, order=True)
 class HanoiMove:
     """Move one disk from one peg to another.
 
-    Moves order lexicographically by (disk, from_peg, to_peg), which the
-    deterministic solver relies on.
+    Moves order lexicographically by (disk, from_peg, to_peg), so
+    ``sorted(legal_moves(s))`` lists them in the order that ``_successors``
+    and the DOT walk use.
     """
 
     disk: int
@@ -396,16 +397,14 @@ def _successors(
                 yield disk, from_peg, to_peg, vec[:disk] + (to_peg,) + vec[disk + 1 :]
 
 
-def _search(n: int, budget_states: int, depth: int, orbits: _Orbits | None = None) -> tuple[
-    _Dist, _Dist
-]:
+def _search(n: int, budget_states: int, depth: int) -> tuple[_Dist, _Dist, _Orbits]:
     """Layered breadth-first search over orbits from the start, to ``depth`` moves:
     each visited orbit's distance and orbit-total count of shortest paths from
-    the start, exact at every depth reached.  Raises BudgetExceededError past
-    ``budget_states`` orbits.  The relabellings stay in ``orbits`` if passed."""
+    the start, exact at every depth reached, and the relabellings it built.
+    Raises BudgetExceededError past ``budget_states`` orbits."""
     check_int(n, "n", 2)
     check_int(budget_states, "budget_states", 1)
-    orbits = _Orbits(n) if orbits is None else orbits
+    orbits = _Orbits(n)
     dist = {(0,) * (n + 1): 0}
     count = dict.fromkeys(dist, 1)
     frontier = list(dist)
@@ -428,13 +427,12 @@ def _search(n: int, budget_states: int, depth: int, orbits: _Orbits | None = Non
                 elif seen == level:
                     count[w] += paths_u * times
         frontier = nxt
-    return dist, count
+    return dist, count, orbits
 
 
 def _cut(n: int, budget_states: int) -> tuple[_Dist, _Dist, _Orbits, int | None]:
     """The search cut at depth n+1, its orbits, and its least d(o) + d(swap o), or None."""
-    orbits = _Orbits(n)
-    dist, count = _search(n, budget_states, n + 1, orbits)
+    dist, count, orbits = _search(n, budget_states, n + 1)
     inside = (d + dist[s] for o, d in dist.items() if (s := orbits.swap(o)) in dist)
     return dist, count, orbits, min(inside, default=None)
 

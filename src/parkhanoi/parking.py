@@ -66,7 +66,7 @@ def as_preference_vector(value: PreferenceVector | Sequence[int]) -> PreferenceV
     """Coerce a raw sequence of spot preferences, validating it."""
     if isinstance(value, PreferenceVector):
         return value
-    return PreferenceVector(tuple(value))
+    return PreferenceVector(value)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 from itertools import chain, product
 
@@ -264,7 +265,7 @@ def test_map_outputs_and_errors_are_pinned():
 def planted_fault(n, fault):
     """``th_to_pf`` and ``pf_to_th`` with one fault planted mid-stream: a state
     sent to the first state's image, a vector sent back to the first state, or
-    none.  Mid-stream, so the first pass settles some vectors before it fails."""
+    none.  Mid-stream, so some round trips hold before one fails."""
     real_th, real_pf = th_to_pf, pf_to_th
     states = list(enumerate_ideal_states(n))
     first, faulty = states[0], states[len(states) // 2]
@@ -287,6 +288,29 @@ def test_report_matches_two_full_passes(monkeypatch, n, fault):
     assert asdict(verify_bijection(n)) == naive
     assert asdict(verify_bijection(n, check_image=False)) == {**naive, "brute_image_matches": None}
     assert verify(n).to_json_obj()["bijection"] == {**naive, "ok": fault is None}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("check", [verify_bijection, verify])
+def test_each_pair_is_mapped_once_each_way(monkeypatch, check, n):
+    # with every round trip holding, each map runs once per state, and no
+    # image vector is mapped a second time
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(parkhanoi.bijection, name)
+
+        def call(value):
+            calls[name] += 1
+            return real(value)
+
+        return call
+
+    for name in ("th_to_pf", "pf_to_th"):
+        monkeypatch.setattr(parkhanoi.bijection, name, counted(name))
+    check(n)
+    assert calls == {"th_to_pf": lah_count(n), "pf_to_th": lah_count(n)}
+    assert lah_count(n) == {4: 36, 5: 240, 6: 1800}[n]
 
 
 # --- verify_bijection streams both families ---------------------------------

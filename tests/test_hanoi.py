@@ -386,7 +386,7 @@ def test_cut_orbits_match_the_vector_oracle(n):
     orbits: dict[tuple, list[tuple[int, ...]]] = {}
     for vec in oracle.dist_start:
         orbits.setdefault(orbit_key(vec), []).append(vec)
-    dist, count = hanoi._search(n, hanoi.DEFAULT_STATE_BUDGET, n + 2)
+    dist, count, _ = hanoi._search(n, hanoi.DEFAULT_STATE_BUDGET, n + 2)
     assert len(dist) == len(orbits)
     assert {orbit_key(o) for o in dist} == orbits.keys()
     for o, d in dist.items():
@@ -433,7 +433,7 @@ def test_dot_lines_raise_at_the_call(monkeypatch):
     with pytest.raises(BudgetExceededError, match="has 212 nodes, over the budget of 211"):
         dot_ideal_lines(4, budget_states=TREE_NODES[4] - 1)
     search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth, o: search(n, b, depth - 2, o))
+    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth: search(n, b, depth - 2))
     with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 5 meets no win$"):
         dot_ideal_lines(4)
 
@@ -503,7 +503,7 @@ def test_cut_without_a_meeting_is_not_ok(monkeypatch):
     # a cut two moves short of n+1 meets no win: the report fails rather
     # than assuming the minimum
     search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth, o: search(n, b, depth - 2, o))
+    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth: search(n, b, depth - 2))
     report = optimal_strategies_through_ideal(4)
     assert report.min_win_moves is None and report.shortest_path_count == 0
     assert not (report.ok or report.flag_a or report.flag_b or report.flag_c)
@@ -512,7 +512,7 @@ def test_cut_without_a_meeting_is_not_ok(monkeypatch):
 @pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_lines, shortest_strategy])
 def test_cut_without_a_meeting_raises(monkeypatch, call):
     search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth, o: search(n, b, depth - 2, o))
+    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth: search(n, b, depth - 2))
     with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 5 meets no win$"):
         call(4)
 
@@ -522,11 +522,14 @@ def test_probe_counts_each_mid_orbit_as_the_vector_oracle(n):
     # the last layer is never stored: each mid orbit's wins, C(o) times the
     # routes on from one of its vectors, against the vectors' own counts
     oracle = vector_oracle(n)
+    orbits: dict[tuple, list[tuple[int, ...]]] = {}
+    for vec in oracle.dist_start:
+        orbits.setdefault(orbit_key(vec), []).append(vec)
     _, count, _, mid, min_win = hanoi._meet_in_the_middle(n, hanoi.DEFAULT_STATE_BUDGET)
     assert min_win == oracle.min_win == 2 * n + 3
     assert {orbit_key(o) for o in mid} == {orbit_key(v) for v in oracle.on_win[n + 1]}
     for o, ends in mid.items():
-        vecs = [v for v in oracle.dist_start if orbit_key(v) == orbit_key(o)]
+        vecs = orbits[orbit_key(o)]
         assert count[o] * ends == sum(oracle.ways_start[v] * oracle.ways_end[v] for v in vecs)
 
 
@@ -537,10 +540,10 @@ def test_a_win_inside_the_cut_is_the_minimum(monkeypatch, vec, min_win, wins):
     # lies inside the cut, so every entry point reports it and flag (b) fails
     search = hanoi._search
 
-    def shortcut(n, budget, depth, orbits):
-        dist, count = search(n, budget, depth, orbits)
+    def shortcut(n, budget, depth):
+        dist, count, orbits = search(n, budget, depth)
         dist[vec], count[vec] = n + 1, 1
-        return dist, count
+        return dist, count, orbits
 
     monkeypatch.setattr(hanoi, "_search", shortcut)
     assert shortest_win_length(2) == min_win
