@@ -334,7 +334,19 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
 #   swap of depth n+1, the step that ``_meet_in_the_middle`` probes for.
 # - Moves onto the empty interior pegs of a vector all land in one orbit,
 #   so the kernel makes one of them, weighted by how many there are.
-# - ``_ideal_orbits`` finds the ideal orbits by filtering canonical vectors.
+# - The probe skips moves that cannot close a win.  LB(v), one per disk off
+#   peg n and two per disk on peg n smaller than a disk off it, bounds the
+#   moves from v to the end (the larger disk lands only after the smaller
+#   one leaves and before it returns).  It reads only peg n, so it is an
+#   orbit's.  A move onto or off peg n changes it by 1, any other move not
+#   at all, and a probe hit w has LB(w) <= d_end(w) = n+1.  So
+#   ``_Orbits.probe`` skips u with LB(u) >= n+3, and makes only the moves
+#   off peg n when LB(u) = n+2: there some disk off n is larger than one on
+#   n (LB(u) > n+1 >= the disks off n), so a disk moved onto n, smaller
+#   than every disk there, counts 2 instead of 1.
+# - ``_pair_orbits`` builds the C(n,2) ideal orbits, one per doubled pair,
+#   for the layer report; ``_ideal_orbits`` finds them by filtering
+#   canonical vectors, for the count report, which certifies the count.
 
 _Vec = tuple[int, ...]  # a peg vector, one entry per disk
 _Dist = dict[_Vec, int]  # a distance or a path count per orbit
@@ -359,12 +371,25 @@ class _Orbits(dict):
     def swap(self, vec: Sequence[int]) -> _Vec:  # its distance from the start is vec's to the end
         return self([self.n if p == 0 else 0 if p == self.n else p for p in vec])
 
-    def moves(self, u: _Vec) -> Iterator[tuple[_Vec, int]]:
-        """Each move of the canonical u as the orbit it reaches and how many it stands for."""
+    def moves(self, u: _Vec, off_n: bool = False) -> Iterator[tuple[_Vec, int]]:
+        """Each move of the canonical u as the orbit it reaches and how many it
+        stands for; with ``off_n``, only the moves off peg n."""
         n, k = self.n, len(set(u) - {0, self.n})  # interior pegs 1..k are in use
         spare = k + 1 if k < n - 1 else None  # stands for all n-1-k empty ones
-        for _, _, to_peg, w in _successors(u, n, (*range(min(k + 2, n)), n)):
+        steps = _successors(u, n, (*range(min(k + 2, n)), n))
+        for _, _, to_peg, w in (s for s in steps if s[1] == n) if off_n else steps:
             yield tuple(map(self[tuple(dict.fromkeys(w))], w)), n - 1 - k if to_peg == spare else 1
+
+    def probe(self, u: _Vec) -> Iterator[tuple[_Vec, int]]:
+        """The moves of u that may reach a vector n+1 moves from the end."""
+        gap = _moves_left(u, self.n) - self.n - 1
+        return self.moves(u, gap == 1) if gap < 2 else iter(())
+
+
+def _moves_left(vec: _Vec, n: int) -> int:
+    """LB(vec): a lower bound on the moves from vec to the end."""
+    off = [d for d, p in enumerate(vec) if p != n]
+    return len(off) + 2 * vec[: off[-1]].count(n) if off else 0
 
 
 def _orbit_size(rep: tuple[int, ...], n: int) -> int:
@@ -381,6 +406,15 @@ def _ideal_orbits(n: int) -> Counter[tuple[int, ...]]:
         vecs = (r + (p,) for r in vecs for p in range(1, min(max(r, default=0) + 2, n)))
     ideal = ((*r, 0) for r in vecs)
     return Counter({v: _orbit_size(v, n) for v in ideal if is_ideal_state(v)})
+
+
+def _pair_orbits(n: int) -> Counter[tuple[int, ...]]:
+    """The ideal orbits built one per doubled pair k < k', each mapped to its
+    (n-1)! vectors: disks 0..k'-1 on pegs 1..k', disk k' on peg k+1, the rest
+    on pegs k'+1..n-1 and disk n on peg 0.  Shares no code with the filter."""
+    pairs = ((k, k2) for k2 in range(n) for k in range(k2))
+    return Counter({(*range(1, k2 + 1), k + 1, *range(k2 + 1, n), 0): perm(n - 1)
+                    for k, k2 in pairs})
 
 
 def _successors(
@@ -444,12 +478,13 @@ def _meet_in_the_middle(n: int, budget_states: int) -> tuple[
     mid layer (the orbits n+1 moves into a shortest win) mapped to each of its
     vectors' shortest routes on to the end, and the minimum win, or None if no
     win takes 2n+3 moves or fewer.  With no win inside the cut, the probe finds
-    each depth-(n+1) orbit's moves onto the swap s of one: C(s)/|s| routes each."""
+    each depth-(n+1) orbit's moves onto the swap s of one, C(s)/|s| routes each,
+    among the moves that ``_Orbits.probe`` keeps by the lower bound LB."""
     dist, count, orbits, min_win = _cut(n, budget_states)
     last = [o for o, d in dist.items() if d == n + 1]
     if min_win is None:
         closing = {orbits.swap(s): count[s] // _orbit_size(s, n) for s in last}
-        ends = ((o, sum(closing.get(w, 0) * m for w, m in orbits.moves(o))) for o in last)
+        ends = ((o, sum(closing.get(w, 0) * m for w, m in orbits.probe(o))) for o in last)
     else:  # the state n+1 moves into a win inside the cut has its swap there too
         swaps = ((o, orbits.swap(o)) for o in last)
         ends = ((o, count[s] // _orbit_size(s, n)) for o, s in swaps
@@ -624,10 +659,11 @@ def optimal_strategies_through_ideal(
     given (a), (b) and L = 2n+3, flag (c) holds when the mid layer is the
     ideal set; both are unions of orbits.  An orbit is n+2 from the end when
     its swap lies past the cut and the probe saw it close a win.  A mid-layer
-    orbit O carries C(O) times its routes on to the end in shortest wins.
+    orbit O carries C(O) times its routes on to the end in shortest wins.  The
+    ideal orbits are built, one per doubled pair, by ``_pair_orbits``.
     """
     dist, count, orbits, mid_layer, min_win = _meet_in_the_middle(n, budget_states)
-    ideal = _ideal_orbits(n)
+    ideal = _pair_orbits(n)
     flag_a = all(dist.get(o) == n + 1 for o in ideal)
     flag_b = all(o in mid_layer and orbits.swap(o) not in dist for o in ideal)
     path_count = sum(count[o] * ends for o, ends in mid_layer.items())

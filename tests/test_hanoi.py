@@ -36,6 +36,7 @@ from parkhanoi import (
 )
 
 from oracles import (
+    bfs_layers,
     dot_tree,
     ideal_by_definition,
     ideal_layer_report,
@@ -492,7 +493,7 @@ def test_cut_report_equals_the_vector_oracle_report(n):
     assert report.ok
 
 
-@pytest.mark.parametrize("n", range(2, 8))  # criterion 8b takes n = 6..9
+@pytest.mark.parametrize("n", range(2, 10))  # criterion 8b pins n = 6..9 as well
 def test_shortest_wins_match_the_closed_form(n):
     report = optimal_strategies_through_ideal(n)
     assert report.ok
@@ -531,6 +532,45 @@ def test_probe_counts_each_mid_orbit_as_the_vector_oracle(n):
     for o, ends in mid.items():
         vecs = orbits[orbit_key(o)]
         assert count[o] * ends == sum(oracle.ways_start[v] * oracle.ways_end[v] for v in vecs)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_moves_left_bounds_the_distance_to_the_end(n):
+    # the probe's prune rests on LB(v) <= d_end(v), over the whole cube
+    end = (n,) * (n + 1)
+    for d_end, _ in bfs_layers(end):
+        pass  # the maps grow in place: d_end now holds the whole cube
+    assert len(d_end) == (n + 1) ** (n + 1)
+    assert d_end[(0,) * (n + 1)] == 2 * n + 3
+    assert all(hanoi._moves_left(v, n) <= d for v, d in d_end.items())
+    assert hanoi._moves_left(end, n) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_probe_keeps_every_move_that_may_close_a_win(n):
+    # every move v -> w with LB(w) <= n+1 may land n+1 moves from the end, so
+    # the probe of v's orbit makes it, with its full weight; the orbits with
+    # LB = n+2 and their moves off peg n are the cases a looser prune drops
+    orbits = hanoi._Orbits(n)
+    probed: dict[tuple[int, ...], Counter] = {}
+    for v in product(range(n + 1), repeat=n + 1):
+        o = orbits(v)
+        if o not in probed:
+            probed[o] = Counter()
+            for w, times in orbits.probe(o):
+                probed[o][w] += times
+        needed = (w for w in neighbors_naive(v) if hanoi._moves_left(w, n) <= n + 1)
+        for w, moves in Counter(map(orbits, needed)).items():
+            assert probed[o][w] == moves, (v, w)
+    gaps = Counter(hanoi._moves_left(o, n) - n - 1 for o in probed)
+    assert gaps[1] and gaps[2]  # each pruned case is reached
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_built_ideal_orbits_are_the_filtered_ones(n):
+    # one orbit per doubled pair, against the Bell(n) filter: no shared code
+    assert hanoi._pair_orbits(n) == hanoi._ideal_orbits(n)
+    assert len(hanoi._pair_orbits(n)) == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("vec, min_win, wins", [((2, 2, 2), 3, 1), ((1, 1, 2), 6, 2)])
