@@ -6,10 +6,12 @@ vector whose (i+1)-th entry is x_i, shifted up by one when x_i > j.  The doubled
 peg becomes the doubled preference, so j is preserved.  The inverse undoes the
 shift: entries above j+1 drop by one (no entry ever equals j+1, since the single
 preferences skip it).  Each map decides its input, reads j and words a
-rejection in one set pass.
+rejection in one set pass, on entry tuples; ``th_to_pf`` and ``pf_to_th``
+validate their input and wrap the result in the public type.
 
 ``verify_bijection`` checks the map exhaustively at one size; ``verify`` returns
 the whole battery, with the counts and the ideal layer, as a ``VerifyReport``.
+The check streams the public enumerators and maps the entry tuples they yield.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .hanoi import (
     enumerate_ideal_states,
     optimal_strategies_through_ideal,
 )
-from .parking import PreferenceVector, as_preference_vector, doubled_preference
+from .parking import PreferenceVector, _doubled, as_preference_vector
 
 
 def th_to_pf(state: HanoiState | Sequence[int]) -> PreferenceVector:
@@ -48,13 +50,17 @@ def th_to_pf(state: HanoiState | Sequence[int]) -> PreferenceVector:
     Raises DomainError naming the first broken ideal-state condition
     when the input is not ideal.
     """
-    state = as_state(state)
-    return _shifted(state.pegs, _doubled_peg(state))
+    return PreferenceVector(_to_prefs(as_state(state).pegs))
 
 
-def _shifted(pegs: tuple[int, ...], j: int) -> PreferenceVector:
+def _to_prefs(x: tuple[int, ...]) -> tuple[int, ...]:
+    """``th_to_pf`` on entry tuples: the preferences of the ideal state with pegs x."""
+    return _shifted(x, _doubled_peg(x))
+
+
+def _shifted(pegs: tuple[int, ...], j: int) -> tuple[int, ...]:
     """The preferences of an ideal state's pegs whose doubled peg is j."""
-    return PreferenceVector(tuple(p + 1 if p > j else p for p in pegs[:-1]))
+    return tuple([p + 1 if p > j else p for p in pegs[:-1]])
 
 
 def pf_to_th(alpha: PreferenceVector | Sequence[int]) -> HanoiState:
@@ -64,10 +70,13 @@ def pf_to_th(alpha: PreferenceVector | Sequence[int]) -> HanoiState:
     Raises DomainError naming the first broken shape condition when the
     input does not have the displacement-one shape.
     """
-    alpha = as_preference_vector(alpha)
-    j = doubled_preference(alpha)
-    pegs = tuple(a - 1 if a > j + 1 else a for a in alpha.prefs) + (0,)
-    return HanoiState(pegs)
+    return HanoiState(_to_pegs(as_preference_vector(alpha).prefs))
+
+
+def _to_pegs(a: tuple[int, ...]) -> tuple[int, ...]:
+    """``pf_to_th`` on entry tuples: the pegs of the ideal state of preferences a."""
+    j = _doubled(a)
+    return (*[v - 1 if v > j + 1 else v for v in a], 0)
 
 
 @dataclass(frozen=True)
@@ -93,8 +102,9 @@ def make_record(state: HanoiState | Sequence[int]) -> BijectionRecord:
     """Map an ideal state and bundle both sides with the shared value, read
     in the map's one checking pass."""
     state = as_state(state)
-    j = _doubled_peg(state)
-    return BijectionRecord(n=state.n, ideal=state, pf=_shifted(state.pegs, j), doubled_value=j)
+    j = _doubled_peg(state.pegs)
+    pf = PreferenceVector(_shifted(state.pegs, j))
+    return BijectionRecord(n=state.n, ideal=state, pf=pf, doubled_value=j)
 
 
 @dataclass(frozen=True)
@@ -162,19 +172,26 @@ def _bijection_report(n: int, scanned: set[tuple[int, ...]] | None) -> Bijection
     th_to_pf(x) for a state x that pf_to_th took it back to, so for pure
     maps th_to_pf(pf_to_th(a)) = a follows from calls that already returned.
     Every field and exception is that of running each round trip in turn
-    until the first one fails."""
+    until the first one fails.
+
+    Both maps run on the entry tuples of the streamed values, so the pass
+    builds no value of its own.  A mapped tuple needs no validation: the
+    image equals the constructive set, and a round trip the streamed tuple,
+    only when they are valid."""
     image: set[tuple[int, ...]] = set()
     structural: set[tuple[int, ...]] = set()
     ideal_count = pf_count = 0
     round_states = round_prefs = True
-    for ideal_count, x in enumerate(enumerate_ideal_states(n), 1):
-        a = th_to_pf(x)
-        round_states = round_states and pf_to_th(a) == x
-        image.add(a.prefs)
-    for pf_count, a in enumerate(generate_displacement_one(n), 1):
-        structural.add(a.prefs)
-        skip = round_states and a.prefs in image
-        round_prefs = round_prefs and (skip or th_to_pf(pf_to_th(a)) == a)
+    for ideal_count, state in enumerate(enumerate_ideal_states(n), 1):
+        x = state.pegs
+        a = _to_prefs(x)
+        round_states = round_states and _to_pegs(a) == x
+        image.add(a)
+    for pf_count, alpha in enumerate(generate_displacement_one(n), 1):
+        a = alpha.prefs
+        structural.add(a)
+        skip = round_states and a in image
+        round_prefs = round_prefs and (skip or _to_prefs(_to_pegs(a)) == a)
     return BijectionReport(
         n=n,
         ideal_count=ideal_count,

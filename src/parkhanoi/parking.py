@@ -137,15 +137,14 @@ def displacement(alpha: PreferenceVector | Sequence[int]) -> int:
     return outcome.total_displacement
 
 
-def _shape_violation(alpha: PreferenceVector) -> str | int:
-    """The doubled preference j (an int) when alpha has the
+def _shape_violation(prefs: tuple[int, ...]) -> str | int:
+    """The doubled preference j (an int) when the entries have the
     displacement-one shape, or the first broken condition as a message.
 
-    One set pass decides and words: alpha has one value twice and the
+    One set pass decides and words: prefs has one value twice and the
     rest once exactly when it takes n-1 distinct values; the doubled one
-    is then ``sum(prefs) - sum(values)``, and alpha has the shape exactly
+    is then ``sum(prefs) - sum(values)``, and prefs has the shape exactly
     when it is one less than the missing one, ``1 + ... + n - sum(values)``."""
-    prefs = alpha.prefs
     n = len(prefs)
     values = set(prefs)
     if len(values) == n - 1:
@@ -171,7 +170,7 @@ def displacement_one_violation(alpha: PreferenceVector | Sequence[int]) -> str |
     functions of total displacement one; the check is purely structural
     and never simulates any parking.
     """
-    found = _shape_violation(as_preference_vector(alpha))
+    found = _shape_violation(as_preference_vector(alpha).prefs)
     return found if isinstance(found, str) else None
 
 
@@ -186,7 +185,13 @@ def doubled_preference(alpha: PreferenceVector | Sequence[int]) -> int:
     Only defined for displacement-one parking functions; raises
     DomainError naming the first violated shape condition otherwise.
     """
-    found = _shape_violation(as_preference_vector(alpha))
+    return _doubled(as_preference_vector(alpha).prefs)
+
+
+def _doubled(prefs: tuple[int, ...]) -> int:
+    """The doubled preference of displacement-one entries; raises DomainError
+    naming the first broken shape condition."""
+    found = _shape_violation(prefs)
     if isinstance(found, str):
         raise DomainError(f"not a displacement-one parking function: {found}")
     return found

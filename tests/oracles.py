@@ -9,7 +9,7 @@ bookkeeping, not the maps.
 
 from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -120,6 +120,13 @@ def ideal_violation_naive(pegs):
         f"the singly covered pegs are {sorted(rest)}; they must be exactly the "
         f"other interior pegs {sorted(expected)}"
     )
+
+
+def ideal_states_lex(n):
+    """Every ideal state in lexicographic order, from the definition: disks
+    0..n-1 on the interior pegs, each peg once and one peg j twice, and disk n
+    on the source peg."""
+    return sorted({(*p, 0) for j in range(1, n) for p in permutations((*range(1, n), j))})
 
 
 def ideal_by_definition(vec):

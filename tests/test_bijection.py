@@ -12,6 +12,7 @@ import pytest
 import parkhanoi
 from parkhanoi import (
     DomainError,
+    HanoiState,
     IdealStateWitness,
     PreferenceVector,
     ValidationError,
@@ -263,11 +264,12 @@ def test_map_outputs_and_errors_are_pinned():
 
 
 def planted_fault(n, fault):
-    """``th_to_pf`` and ``pf_to_th`` with one fault planted mid-stream: a state
-    sent to the first state's image, a vector sent back to the first state, or
-    none.  Mid-stream, so some round trips hold before one fails."""
-    real_th, real_pf = th_to_pf, pf_to_th
-    states = list(enumerate_ideal_states(n))
+    """The maps the pass runs on entry tuples, ``_to_prefs`` and ``_to_pegs``, with
+    one fault planted mid-stream: a state sent to the first state's image, a
+    vector sent back to the first state, or none.  Mid-stream, so some round
+    trips hold before one fails."""
+    real_th, real_pf = parkhanoi.bijection._to_prefs, parkhanoi.bijection._to_pegs
+    states = [s.pegs for s in enumerate_ideal_states(n)]
     first, faulty = states[0], states[len(states) // 2]
     first_image, faulty_image = real_th(first), real_th(faulty)
     if fault == "state to another's image":
@@ -277,14 +279,20 @@ def planted_fault(n, fault):
     return real_th, real_pf
 
 
+def lifted(maps):
+    """Tuple maps lifted to ``th_to_pf`` and ``pf_to_th``'s types."""
+    to_prefs, to_pegs = maps
+    return (lambda x: PreferenceVector(to_prefs(x.pegs))), (lambda a: HanoiState(to_pegs(a.prefs)))
+
+
 @pytest.mark.parametrize("fault", ["state to another's image", "vector to the wrong state", None])
 @pytest.mark.parametrize("n", [3, 4])
 def test_report_matches_two_full_passes(monkeypatch, n, fault):
     maps = planted_fault(n, fault)
     scanned = {PreferenceVector(p) for p in pf_with_displacement(n, 1)}
-    monkeypatch.setattr(parkhanoi.bijection, "th_to_pf", maps[0])
-    monkeypatch.setattr(parkhanoi.bijection, "pf_to_th", maps[1])
-    naive = bijection_report_naive(n, *maps, scanned)
+    monkeypatch.setattr(parkhanoi.bijection, "_to_prefs", maps[0])
+    monkeypatch.setattr(parkhanoi.bijection, "_to_pegs", maps[1])
+    naive = bijection_report_naive(n, *lifted(maps), scanned)
     assert asdict(verify_bijection(n)) == naive
     assert asdict(verify_bijection(n, check_image=False)) == {**naive, "brute_image_matches": None}
     assert verify(n).to_json_obj()["bijection"] == {**naive, "ok": fault is None}
@@ -306,10 +314,31 @@ def test_each_pair_is_mapped_once_each_way(monkeypatch, check, n, pairs):
 
         return call
 
-    for name in ("th_to_pf", "pf_to_th"):
+    for name in ("_to_prefs", "_to_pegs"):
         monkeypatch.setattr(parkhanoi.bijection, name, counted(name))
     check(n)
-    assert calls == {"th_to_pf": pairs, "pf_to_th": pairs}
+    assert calls == {"_to_prefs": pairs, "_to_pegs": pairs}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_a_passing_pass_builds_only_the_streamed_values(monkeypatch, n):
+    # the pass maps entry tuples, so the only states and vectors it builds are
+    # the ones the two public enumerators stream: 2 * lah(n), not 4 * lah(n)
+    built = Counter()
+
+    def counted(cls):
+        post_init = cls.__post_init__
+
+        def call(self):
+            built[cls.__name__] += 1
+            post_init(self)
+
+        return call
+
+    for cls in (HanoiState, PreferenceVector):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls))
+    assert verify_bijection(n, check_image=False).ok
+    assert built == {"HanoiState": lah_count(n), "PreferenceVector": lah_count(n)}
 
 
 # --- verify_bijection streams both families ---------------------------------

@@ -80,6 +80,16 @@ def test_enumerate_ideal(capsys):
     assert err.strip() == "count=6"
 
 
+def test_enumerate_ideal_n8_digest(capsys):
+    # all 141,120 lines, byte for byte: the tail table must not move a state
+    code, out, err = run(capsys, "enumerate", "ideal", "--n", "8")
+    assert (code, err) == (0, "count=141120\n")
+    assert (len(out), out.count("\n")) == (2_540_160, 141_120)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2f4bf53b59270503b6584b919aaddea569ebc53467acda823f75e8daaf9df993"
+    )
+
+
 def test_enumerate_pf1_n2(capsys):
     code, out, _ = run(capsys, "enumerate", "pf1", "--n", "2")
     assert code == 0

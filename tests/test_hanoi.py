@@ -42,6 +42,7 @@ from oracles import (
     ideal_layer_report,
     ideal_route_count,
     ideal_set_brute,
+    ideal_states_lex,
     lexicographic_shortest_win,
     neighbors_naive,
     orbit_count,
@@ -299,6 +300,12 @@ def test_enumerate_ideal_states_streams(monkeypatch):
 
 def test_enumerate_ideal_states_n2():
     assert [s.pegs for s in enumerate_ideal_states(2)] == [(1, 1, 0)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_enumerator_is_the_definition_in_order(n):
+    # the tails after the last two unused pegs come from a table; the order must not move
+    assert [s.pegs for s in enumerate_ideal_states(n)] == ideal_states_lex(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
