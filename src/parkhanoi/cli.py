@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ from .hanoi import (
     HanoiState,
     dot_ideal_lines,
     enumerate_ideal_states,
+    ideal_state_lines,
     shortest_strategy,
 )
 from .parking import PreferenceVector, park
@@ -226,27 +228,26 @@ def cmd_park(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    stream: Iterable
-    if args.kind == "pf":
-        stream = enumerate_pf(args.n, budget_n=args.budget_n)
-    elif args.kind == "pf1":
-        stream = enumerate_pf_displacement(args.n, 1, budget_n=args.budget_n)
+    fmt = args.format or "lines"
+    items: Iterable  # typed values for json, their texts otherwise
+    if args.kind == "ideal":  # the text listings build no state per line
+        items = enumerate_ideal_states(args.n) if fmt == "json" else ideal_state_lines(args.n)
     else:
-        stream = enumerate_ideal_states(args.n)
-    count = 0
-
-    def numbered():  # counts while streaming: lines and table print each item as it comes
-        nonlocal count
-        for count, item in enumerate(stream, start=1):
-            yield count, item
+        if args.kind == "pf":
+            stream = enumerate_pf(args.n, budget_n=args.budget_n)
+        else:
+            stream = enumerate_pf_displacement(args.n, 1, budget_n=args.budget_n)
+        items = stream if fmt == "json" else map(PreferenceVector.to_text, stream)
+    counter = itertools.count(1)
+    numbered = zip(items, counter)  # items first: the end of the stream takes no number
 
     _emit(
-        args.format or "lines",
-        lambda: [list(item) for _, item in numbered()],
-        lambda: (item.to_text() for _, item in numbered()),
-        lambda: (f"{i:>6}  {item.to_text()}" for i, item in numbered()),
+        fmt,
+        lambda: [list(item) for item, _ in numbered],
+        lambda: (text for text, _ in numbered),
+        lambda: (f"{i:>6}  {text}" for text, i in numbered),
     )
-    print(f"count={count}", file=sys.stderr)
+    print(f"count={next(counter) - 1}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """Exception taxonomy shared across the package, plus the integer check and the
-vector grammar: its parser and the numerals ``to_text`` writes.
+vector grammar: its parser and its writer.
 
 The CLI maps these onto distinct exit codes, so the split matters:
 malformed input is a different failure than a well-formed input lying
@@ -8,6 +8,7 @@ budget.
 """
 
 import re
+from collections.abc import Sequence
 from functools import lru_cache
 
 
@@ -41,10 +42,17 @@ def check_int(value: object, name: str, minimum: int) -> None:
 
 
 @lru_cache(maxsize=16)
-def numerals(size: int) -> tuple[str, ...]:
-    """``str(0)``, ..., ``str(size)``: ``to_text`` writes entry v of a length-``size``
-    vector as ``numerals(size)[v]``, the inverse of ``parse_vector``."""
+def _numerals(size: int) -> tuple[str, ...]:
+    """``str(0)``, ..., ``str(size)``: the text of every entry a length-``size``
+    vector of the package can hold."""
     return tuple(map(str, range(size + 1)))
+
+
+def vector_text(vec: Sequence[int]) -> str:
+    """``vec`` written as ``"3,1,1"``, the inverse of ``parse_vector``; every entry
+    lies in 0..len(vec)."""
+    table = _numerals(len(vec))
+    return ",".join([table[v] for v in vec])
 
 
 def parse_vector(text: str, what: str) -> tuple[int, ...]:

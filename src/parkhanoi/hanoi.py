@@ -34,7 +34,7 @@ from math import perm
 from typing import Any
 
 from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError
-from .errors import check_int, numerals, parse_vector
+from .errors import check_int, parse_vector, vector_text
 
 #: Default cap on the orbits one state-graph search visits, and on the nodes
 #: of the DOT tree: the search fits for n <= 12 (371,269 orbits), the tree for
@@ -77,8 +77,7 @@ class HanoiState:
         return cls(parse_vector(text, "state"))
 
     def to_text(self) -> str:
-        table = numerals(len(self.pegs))
-        return ",".join([table[p] for p in self.pegs])
+        return vector_text(self.pegs)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.pegs)
@@ -286,19 +285,13 @@ def ideal_witness(state: HanoiState | Sequence[int]) -> IdealStateWitness:
     return IdealStateWitness(j, pair, singles)
 
 
-def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
-    """Every ideal state exactly once, in lexicographic order of the vector.
-
-    Built directly, not by filtering all (n+1)^(n+1) vectors: disks 0..n-1
-    are placed depth first, each on a new interior peg until one peg
-    repeats, then the unused interior pegs follow in every order.  Yields
-    n!(n-1)/2 states without storing them, none at n = 1, where the game
-    has no interior peg.
+def _ideal_pegs(n: int) -> Iterator[tuple[int, ...]]:
+    """The peg vectors of ``enumerate_ideal_states(n)``, in its order, as plain tuples.
 
     The entries after a placement depend only on the unused interior pegs,
     so once at most two are left they come from a table keyed by those pegs,
     built by the same recursion with the table off.  Each branch yields one
-    lazy batch, so no state climbs the recursion's generators.  At n = 8 the
+    lazy batch, so no vector climbs the recursion's generators.  At n = 8 the
     table holds 21 sets of 36 tails, and the recursion makes 3,725 calls, not 13,700.
     """
     check_int(n, "n", 1)
@@ -319,7 +312,26 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
                 yield (head + rest + (0,) for rest in permutations(unused))
 
     tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    return map(HanoiState, chain.from_iterable(place((), tuple(range(1, n)), True)))
+    return chain.from_iterable(place((), tuple(range(1, n)), True))
+
+
+def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
+    """Every ideal state exactly once, in lexicographic order of the vector.
+
+    Built directly, not by filtering all (n+1)^(n+1) vectors: disks 0..n-1
+    are placed depth first, each on a new interior peg until one peg
+    repeats, then the unused interior pegs follow in every order.  Yields
+    n!(n-1)/2 states without storing them, none at n = 1, where the game
+    has no interior peg.
+    """
+    return map(HanoiState, _ideal_pegs(n))
+
+
+def ideal_state_lines(n: int) -> Iterator[str]:
+    """The text of each state of ``enumerate_ideal_states(n)``, like ``"2,2,1,0"``,
+    streamed in the same order with no ``HanoiState`` built; a bad ``n`` raises
+    ValidationError at the call, before any line."""
+    return map(vector_text, _ideal_pegs(n))
 
 
 # --- state-graph search ------------------------------------------------------
@@ -598,7 +610,7 @@ def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Ite
                 steps = _successors(rep, n, range(n + 1))
                 moves[rep] = [(d, t) for d, _, t, w in steps if orbits(w) in on_win[depth]]
             found = children[vec] = [
-                (child := vec[:d] + (to,) + vec[d + 1 :], ",".join(map(str, child)))
+                (child := vec[:d] + (to,) + vec[d + 1 :], vector_text(child))
                 for d, to in sorted((d, peg[to]) for d, to in moves[rep])
             ]
         return found

@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import DomainError, ValidationError, numerals, parse_vector
+from .errors import DomainError, ValidationError, parse_vector, vector_text
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ class PreferenceVector:
         return cls(parse_vector(text, "preference vector"))
 
     def to_text(self) -> str:
-        table = numerals(len(self.prefs))
-        return ",".join([table[a] for a in self.prefs])
+        return vector_text(self.prefs)
 
 
 def as_preference_vector(value: PreferenceVector | Sequence[int]) -> PreferenceVector:

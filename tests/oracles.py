@@ -122,6 +122,7 @@ def ideal_violation_naive(pegs):
     )
 
 
+@cache  # two tests read it at n = 8, where it sorts 141,120 vectors
 def ideal_states_lex(n):
     """Every ideal state in lexicographic order, from the definition: disks
     0..n-1 on the interior pegs, each peg once and one peg j twice, and disk n

@@ -200,9 +200,9 @@ SHORTEST_WINS_N8 = 15_029_280
 SHORTEST_WINS_N9 = 236_839_680
 
 
-def test_criterion_08b_ideal_layer_n6_to_n9():
+def test_criterion_08b_ideal_layer_n6_to_n9(ideal_layer):
     start = time.monotonic()
-    reports = {n: optimal_strategies_through_ideal(n) for n in (6, 7, 8, 9)}
+    reports = {n: ideal_layer(n) for n in (6, 7, 8, 9)}
     elapsed = time.monotonic() - start
     ok = all(r.ok and r.ideal_at_level == n + 1 for n, r in reports.items())
     ok = ok and all(r.shortest_path_count == shortest_win_count(n) for n, r in reports.items())

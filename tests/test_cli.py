@@ -24,6 +24,7 @@ from parkhanoi import (
     PreferenceVector,
     ValidationError,
     enumerate_ideal_states,
+    lah_count,
 )
 from parkhanoi.cli import main
 
@@ -88,6 +89,23 @@ def test_enumerate_ideal_n8_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2f4bf53b59270503b6584b919aaddea569ebc53467acda823f75e8daaf9df993"
     )
+
+
+@pytest.mark.parametrize("fmt,built", [("lines", 0), ("table", 0), ("json", lah_count(5))])
+def test_enumerate_ideal_builds_states_only_for_json(capsys, monkeypatch, fmt, built):
+    # the text listings stream the enumerator's vectors as text, with no state per line
+    calls = 0
+    post_init = HanoiState.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        post_init(self)
+
+    monkeypatch.setattr(HanoiState, "__post_init__", counted)
+    code, out, err = run(capsys, "--format", fmt, "enumerate", "ideal", "--n", "5")
+    assert (code, err) == (0, f"count={lah_count(5)}\n")
+    assert calls == built
 
 
 def test_enumerate_pf1_n2(capsys):
@@ -403,7 +421,14 @@ def test_solve_dot_n7_digest(capsys):
     )
 
 
-@pytest.mark.parametrize("argv", [["enumerate", "pf", "--n", "6"], ["solve", "--n", "6", "--dot"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "pf", "--n", "6"],
+        ["enumerate", "ideal", "--n", "8"],
+        ["solve", "--n", "6", "--dot"],
+    ],
+)
 def test_closed_stdout_exits_1_without_a_traceback(argv):
     # a reader that stops early, like ``| head -1``, closes the pipe mid-stream
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -25,6 +25,7 @@ from parkhanoi import (
     dot_ideal_lines,
     ending_state,
     enumerate_ideal_states,
+    ideal_state_lines,
     ideal_witness,
     is_ideal_state,
     lah_count,
@@ -308,6 +309,19 @@ def test_enumerator_is_the_definition_in_order(n):
     assert [s.pegs for s in enumerate_ideal_states(n)] == ideal_states_lex(n)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ideal_state_lines_are_the_definition_in_order(n):
+    # the text listing skips HanoiState, so its check shares no package code
+    expected = [",".join(map(str, x)) for x in ideal_states_lex(n)]
+    assert list(ideal_state_lines(n)) == expected
+
+
+@pytest.mark.parametrize("n", [0, True])
+def test_ideal_state_lines_refuse_a_bad_n_at_the_call(n):
+    with pytest.raises(ValidationError):
+        ideal_state_lines(n)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_enumerator_equals_brute_filter(n):
     assert {s.pegs for s in enumerate_ideal_states(n)} == ideal_set_brute(n)
@@ -501,8 +515,8 @@ def test_cut_report_equals_the_vector_oracle_report(n):
 
 
 @pytest.mark.parametrize("n", range(2, 10))  # criterion 8b pins n = 6..9 as well
-def test_shortest_wins_match_the_closed_form(n):
-    report = optimal_strategies_through_ideal(n)
+def test_shortest_wins_match_the_closed_form(ideal_layer, n):
+    report = ideal_layer(n)
     assert report.ok
     assert report.shortest_path_count == shortest_win_count(n)
 
