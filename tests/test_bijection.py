@@ -3,7 +3,6 @@
 import hashlib
 import json
 import tracemalloc
-from collections import Counter
 from dataclasses import asdict
 from itertools import chain, product
 
@@ -137,21 +136,13 @@ def test_verify_lists_each_failed_check(monkeypatch, kinds):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_verify_scans_once_for_both_reports(monkeypatch, n):
+def test_verify_scans_once_for_both_reports(watch, n):
     # one walk of [n]^n feeds the image check and the counts, which read
     # the same as the two public calls that each walk it themselves
-    scans = []
-    real = parkhanoi.enumeration._scan
-
-    def counted(m):
-        scans.append(m)
-        return real(m)
-
-    monkeypatch.setattr(parkhanoi.enumeration, "_scan", counted)
-    monkeypatch.setattr(parkhanoi.bijection, "_scan", counted)
+    scans = watch(parkhanoi.enumeration, "_scan"), watch(parkhanoi.bijection, "_scan")
     report = verify(n)
     result = report.to_json_obj()
-    assert scans == [n]
+    assert scans[0] + scans[1] == [(n,)]
     assert result["bijection"] == verify_bijection(n).to_json_obj()
     assert result["counts"] == [r.to_json_obj() for r in brute_force_counts(n)]
     assert result["ok"]
@@ -171,15 +162,8 @@ def test_verify_is_what_the_cli_prints(capsys, n):
 # --- each map finds j in the pass that checks its input --------------------
 
 
-def test_maps_build_no_witness(monkeypatch):
-    built = []
-    real = IdealStateWitness.__post_init__
-
-    def counting(self):
-        built.append(self)
-        real(self)
-
-    monkeypatch.setattr(IdealStateWitness, "__post_init__", counting)
+def test_maps_build_no_witness(watch):
+    built = watch(IdealStateWitness, "__post_init__")
     for state in enumerate_ideal_states(4):
         pf_to_th(th_to_pf(state))
     make_record((2, 2, 1, 0))
@@ -300,45 +284,21 @@ def test_report_matches_two_full_passes(monkeypatch, n, fault):
 
 @pytest.mark.parametrize("n, pairs", [(4, 36), (5, 240), (6, 1800)])
 @pytest.mark.parametrize("check", [verify_bijection, verify])
-def test_each_pair_is_mapped_once_each_way(monkeypatch, check, n, pairs):
+def test_each_pair_is_mapped_once_each_way(watch, check, n, pairs):
     # with every round trip holding, each map runs once per state, and no
     # image vector is mapped a second time
-    calls = Counter()
-
-    def counted(name):
-        real = getattr(parkhanoi.bijection, name)
-
-        def call(value):
-            calls[name] += 1
-            return real(value)
-
-        return call
-
-    for name in ("_to_prefs", "_to_pegs"):
-        monkeypatch.setattr(parkhanoi.bijection, name, counted(name))
+    calls = {name: watch(parkhanoi.bijection, name) for name in ("_to_prefs", "_to_pegs")}
     check(n)
-    assert calls == {"_to_prefs": pairs, "_to_pegs": pairs}
+    assert {name: len(c) for name, c in calls.items()} == {"_to_prefs": pairs, "_to_pegs": pairs}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_a_passing_pass_builds_only_the_streamed_values(monkeypatch, n):
+def test_a_passing_pass_builds_only_the_streamed_values(watch, n):
     # the pass maps entry tuples, so the only states and vectors it builds are
     # the ones the two public enumerators stream: 2 * lah(n), not 4 * lah(n)
-    built = Counter()
-
-    def counted(cls):
-        post_init = cls.__post_init__
-
-        def call(self):
-            built[cls.__name__] += 1
-            post_init(self)
-
-        return call
-
-    for cls in (HanoiState, PreferenceVector):
-        monkeypatch.setattr(cls, "__post_init__", counted(cls))
+    states, vectors = (watch(cls, "__post_init__") for cls in (HanoiState, PreferenceVector))
     assert verify_bijection(n, check_image=False).ok
-    assert built == {"HanoiState": lah_count(n), "PreferenceVector": lah_count(n)}
+    assert (len(states), len(vectors)) == (lah_count(n), lah_count(n))
 
 
 # --- verify_bijection streams both families ---------------------------------

@@ -92,20 +92,12 @@ def test_enumerate_ideal_n8_digest(capsys):
 
 
 @pytest.mark.parametrize("fmt,built", [("lines", 0), ("table", 0), ("json", lah_count(5))])
-def test_enumerate_ideal_builds_states_only_for_json(capsys, monkeypatch, fmt, built):
+def test_enumerate_ideal_builds_states_only_for_json(capsys, watch, fmt, built):
     # the text listings stream the enumerator's vectors as text, with no state per line
-    calls = 0
-    post_init = HanoiState.__post_init__
-
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        post_init(self)
-
-    monkeypatch.setattr(HanoiState, "__post_init__", counted)
+    states = watch(HanoiState, "__post_init__")
     code, out, err = run(capsys, "--format", fmt, "enumerate", "ideal", "--n", "5")
     assert (code, err) == (0, f"count={lah_count(5)}\n")
-    assert calls == built
+    assert len(states) == built
 
 
 def test_enumerate_pf1_n2(capsys):
@@ -554,20 +546,12 @@ def test_state_budget_flag(capsys):
     "env, prefix",
     [({}, ["--budget-states", "10"]), ({"PARKHANOI_BUDGET_STATES": "10"}, [])],
 )
-def test_verify_checks_the_search_budget_before_any_scan(capsys, monkeypatch, env, prefix):
+def test_verify_checks_the_search_budget_before_any_scan(capsys, monkeypatch, watch, env, prefix):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    simulations = 0
-    init = ParkingOutcome.__init__
-
-    def counted(self, *args, **kwargs):
-        nonlocal simulations
-        simulations += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ParkingOutcome, "__init__", counted)
+    simulations, scans = watch(ParkingOutcome, "__init__"), watch(parkhanoi.bijection, "_scan")
     code, out, err = run(capsys, *prefix, "verify", "--n", "6")
-    assert (code, out, simulations) == (3, "", 0)
+    assert (code, out, len(simulations), scans) == (3, "", 0, [])
     assert err == (
         "error: the search for n=6 visits more than 10 peg-symmetry orbits, over the "
         "budget; raise the budget to search it\n"

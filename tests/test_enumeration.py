@@ -112,36 +112,18 @@ def test_partition_by_displacement(n):
     assert sizes[-1] == 1  # the all-ones vector alone has the maximum
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Counts of ParkingOutcome and PreferenceVector constructions."""
-    built = Counter()
-
-    def count(cls, name):
-        original = getattr(cls, name)
-
-        def counted(self, *args, **kwargs):
-            built[cls] += 1
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, name, counted)
-
-    count(ParkingOutcome, "__init__")
-    count(PreferenceVector, "__post_init__")
-    return built
-
-
 @pytest.mark.parametrize(
     "scan",
     [lambda: brute_force_counts(5), lambda: list(enumerate_pf_displacement(5, 1))],
     ids=["brute_force_counts", "enumerate_pf_displacement"],
 )
-def test_scan_decides_each_vector_once(builds, scan):
+def test_scan_decides_each_vector_once(watch, scan):
     # no per-vector simulation, one validated vector per parking function
     # and none for a vector that fails
+    outcomes, vectors = watch(ParkingOutcome, "__init__"), watch(PreferenceVector, "__post_init__")
     scan()
-    assert builds[ParkingOutcome] == 0
-    assert builds[PreferenceVector] == cayley_count(5)
+    assert len(outcomes) == 0
+    assert len(vectors) == cayley_count(5)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -166,17 +148,14 @@ def test_scan_needs_no_recursion_depth():
     assert next(enumerate_pf(1500, budget_n=1500)).prefs == (1,) * 1500
 
 
-def test_scan_streams_one_vector_at_a_time(builds):
+def test_scan_streams_one_vector_at_a_time(watch):
+    vectors = watch(PreferenceVector, "__post_init__")
     next(enumerate_pf(8, budget_n=8))
-    assert builds[PreferenceVector] == 1
+    assert len(vectors) == 1
 
 
 def test_partition_law_n6_single_scan():
     # one pass over [6]^6 tallying displacements, against the formulas
-    from collections import Counter
-
-    from parkhanoi import park
-
     tally = Counter()
     for prefs in product(range(1, 7), repeat=6):
         outcome = park(prefs)

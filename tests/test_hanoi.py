@@ -285,18 +285,10 @@ def test_enumerate_ideal_states_n3():
     assert set(got) == ideal_set_brute(3)
 
 
-def test_enumerate_ideal_states_streams(monkeypatch):
-    built = 0
-    post_init = HanoiState.__post_init__
-
-    def counted(self):
-        nonlocal built
-        built += 1
-        post_init(self)
-
-    monkeypatch.setattr(HanoiState, "__post_init__", counted)
+def test_enumerate_ideal_states_streams(watch):
+    built = watch(HanoiState, "__post_init__")
     assert next(enumerate_ideal_states(6)).pegs == (1, 1, 2, 3, 4, 5, 0)
-    assert built == 1
+    assert len(built) == 1
 
 
 def test_enumerate_ideal_states_n2():
@@ -422,25 +414,11 @@ def dot_text(n):
     return "\n".join(dot_ideal_lines(n))
 
 
-def test_dot_tree_runs_one_search_and_builds_no_state(monkeypatch):
-    built = searches = 0
-    post_init, search = HanoiState.__post_init__, hanoi._search
-
-    def counted_state(self):
-        nonlocal built
-        built += 1
-        post_init(self)
-
-    def counted_search(*args):
-        nonlocal searches
-        searches += 1
-        assert args[2] == 5 + 1  # cut at depth n+1
-        return search(*args)
-
-    monkeypatch.setattr(HanoiState, "__post_init__", counted_state)
-    monkeypatch.setattr(hanoi, "_search", counted_search)
+def test_dot_tree_runs_one_search_and_builds_no_state(watch):
+    built, searches = watch(HanoiState, "__post_init__"), watch(hanoi, "_search")
     dot_text(5)
-    assert (built, searches) == (0, 1)
+    assert (len(built), len(searches)) == (0, 1)
+    assert [depth for *_, depth in searches] == [5 + 1]  # cut at depth n+1
 
 
 @pytest.mark.parametrize("n, leaves", [(2, 1), (3, 10), (4, 90), (5, 840), (6, 8400)])
@@ -449,15 +427,11 @@ def test_dot_tree_leaves_match_the_closed_form(n, leaves):
     assert dot_text(n).count(", style=bold];") == leaves == ideal_route_count(n)
 
 
-def test_dot_lines_raise_at_the_call(monkeypatch):
+def test_dot_lines_raise_at_the_call():
     # the search, the marking and the node count run before the first line,
-    # so both errors come from the call itself, before any next
+    # so the budget error comes from the call itself, before any next
     with pytest.raises(BudgetExceededError, match="has 212 nodes, over the budget of 211"):
         dot_ideal_lines(4, budget_states=TREE_NODES[4] - 1)
-    search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth: search(n, b, depth - 2))
-    with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 5 meets no win$"):
-        dot_ideal_lines(4)
 
 
 def test_dot_lines_first_line_comes_before_the_tree():
@@ -521,20 +495,23 @@ def test_shortest_wins_match_the_closed_form(ideal_layer, n):
     assert report.shortest_path_count == shortest_win_count(n)
 
 
-def test_cut_without_a_meeting_is_not_ok(monkeypatch):
-    # a cut two moves short of n+1 meets no win: the report fails rather
-    # than assuming the minimum
+@pytest.fixture
+def shallow_cut(monkeypatch):
+    """Cuts the search two moves short of depth n+1, where it meets no win."""
     search = hanoi._search
     monkeypatch.setattr(hanoi, "_search", lambda n, b, depth: search(n, b, depth - 2))
+
+
+def test_cut_without_a_meeting_is_not_ok(shallow_cut):
+    # a cut two moves short of n+1 meets no win: the report fails rather
+    # than assuming the minimum
     report = optimal_strategies_through_ideal(4)
     assert report.min_win_moves is None and report.shortest_path_count == 0
     assert not (report.ok or report.flag_a or report.flag_b or report.flag_c)
 
 
 @pytest.mark.parametrize("call", [shortest_win_length, dot_ideal_lines, shortest_strategy])
-def test_cut_without_a_meeting_raises(monkeypatch, call):
-    search = hanoi._search
-    monkeypatch.setattr(hanoi, "_search", lambda n, b, depth: search(n, b, depth - 2))
+def test_cut_without_a_meeting_raises(shallow_cut, call):
     with pytest.raises(DomainError, match=r"^the search for n=4 cut at depth 5 meets no win$"):
         call(4)
 
@@ -752,18 +729,10 @@ def test_strategy_coerces_moves_and_refuses_raw_moves():
         Strategy(2, ((0, 0, 1),))
 
 
-def test_shortest_strategy_applies_each_move_once(monkeypatch):
+def test_shortest_strategy_applies_each_move_once(watch):
     # the strategy's states are built from its moves, not replayed to check them
-    calls = 0
-    apply = hanoi.apply_move
-
-    def counted(state, move):
-        nonlocal calls
-        calls += 1
-        return apply(state, move)
-
-    monkeypatch.setattr(hanoi, "apply_move", counted)
-    assert len(shortest_strategy(5).moves) == calls == 13
+    calls = watch(hanoi, "apply_move")
+    assert len(shortest_strategy(5).moves) == len(calls) == 13
 
 
 def test_strategy_json():

@@ -172,3 +172,17 @@ def test_only_emit_writes_stdout():
             allowed = set(stdout_writes(emit))
         found += [f"{path.name}:{n.lineno}" for n in stdout_writes(tree) if n not in allowed]
     assert allowed and found == []
+
+
+def test_only_watch_wraps_a_constructor():
+    # one call recorder: a test counts constructions through conftest's watch
+    modules = [path for path in Path(__file__).parent.glob("*.py") if path.name != "conftest.py"]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "monkeypatch.setattr"
+        and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value in ("__init__", "__post_init__")
+    ]
+    assert modules and found == []
