@@ -48,6 +48,12 @@ def _numerals(size: int) -> tuple[str, ...]:
     return tuple(map(str, range(size + 1)))
 
 
+def _entry_cells(size: int) -> list[str]:
+    """``"0,"``, ..., ``"{size},"``: the text of each entry with the comma after
+    it, the pieces from which callers join a vector's text a prefix at a time."""
+    return [s + "," for s in _numerals(size)]
+
+
 def vector_text(vec: Sequence[int]) -> str:
     """``vec`` written as ``"3,1,1"``, the inverse of ``parse_vector``; every entry
     lies in 0..len(vec)."""

@@ -34,7 +34,7 @@ from math import perm
 from typing import Any
 
 from .errors import BudgetExceededError, DomainError, IllegalMoveError, ValidationError
-from .errors import check_int, parse_vector, vector_text
+from .errors import _entry_cells, check_int, parse_vector, vector_text
 
 #: Default cap on the orbits one state-graph search visits, and on the nodes
 #: of the DOT tree: the search fits for n <= 12 (371,269 orbits), the tree for
@@ -285,33 +285,42 @@ def ideal_witness(state: HanoiState | Sequence[int]) -> IdealStateWitness:
     return IdealStateWitness(j, pair, singles)
 
 
-def _ideal_pegs(n: int) -> Iterator[tuple[int, ...]]:
-    """The peg vectors of ``enumerate_ideal_states(n)``, in its order, as plain tuples.
+def _ideal_rows(n: int, cells: Callable[[int], Any], join: Any, close: Any) -> Iterator[Any]:
+    """The vectors of ``enumerate_ideal_states(n)`` in its order, each joined from
+    ``cells(n)[p]`` per entry ``p`` but the last, then ``close``: tuples by
+    ``(range, tuple, (0,))``, text by ``(_entry_cells, "".join, "0")``.
 
-    Once at most two interior pegs are unused, the entries left come from a
-    table keyed by them: each tuple over 1..n-1, one longer than the unused
-    pegs, that covers them, in product order, then the 0.  Each branch yields
-    one lazy batch, so no vector climbs the recursion's generators.  At n = 8
-    the table holds 21 sets of 36 tails; the recursion makes 3,620 calls, not 13,700.
+    Each branch joins its prefix once and yields one lazy batch of prefix plus
+    tail, so no row climbs the recursion's generators.  Once at most two
+    interior pegs are unused, the tails come from a table keyed by them: each
+    tuple over 1..n-1, one longer than the unused pegs, that covers them, in
+    product order, then the close; else the unused pegs follow in every order.
+    At n = 8 the recursion makes 3,620 calls, not 13,700, and yields 2,520
+    batches from the table's 21 sets of 36 tails, 90,720 of the 141,120 rows,
+    and 4,081 batches of permutations.
     """
     check_int(n, "n", 1)
+    cell = cells(n)
+    unit = [join([c]) for c in cell]  # one entry: (p,) or "p,"
 
-    def place(prefix: _Vec, unused: _Vec) -> Iterator[Iterable[_Vec]]:
+    def place(prefix: Any, unused: _Vec) -> Iterator[Iterable[Any]]:
         if len(unused) <= 2:
             if unused not in tails:
                 rows = product(range(1, n), repeat=len(unused) + 1)
-                tails[unused] = [(*t, 0) for t in rows if set(unused).issubset(t)]
+                covers = (t for t in rows if set(unused).issubset(t))
+                tails[unused] = [join([cell[p] for p in t]) + close for t in covers]
             yield map(prefix.__add__, tails[unused])
             return
+        free = [cell[q] for q in unused]
         for p in range(1, n):
             if p in unused:
-                yield from place(prefix + (p,), tuple(q for q in unused if q != p))
+                yield from place(prefix + unit[p], tuple(q for q in unused if q != p))
             else:
-                head = prefix + (p,)
-                yield (head + rest + (0,) for rest in permutations(unused))
+                head = prefix + unit[p]
+                yield (head + join(rest) + close for rest in permutations(free))
 
-    tails: dict[_Vec, list[_Vec]] = {}
-    return chain.from_iterable(place((), tuple(range(1, n))))
+    tails: dict[_Vec, list[Any]] = {}
+    return chain.from_iterable(place(join([]), tuple(range(1, n))))
 
 
 def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
@@ -323,14 +332,15 @@ def enumerate_ideal_states(n: int) -> Iterator[HanoiState]:
     n!(n-1)/2 states without storing them, none at n = 1, where the game
     has no interior peg.
     """
-    return map(HanoiState, _ideal_pegs(n))
+    return map(HanoiState, _ideal_rows(n, range, tuple, (0,)))
 
 
 def ideal_state_lines(n: int) -> Iterator[str]:
     """The text of each state of ``enumerate_ideal_states(n)``, like ``"2,2,1,0"``,
     streamed in the same order with no ``HanoiState`` built; a bad ``n`` raises
-    ValidationError at the call, before any line."""
-    return map(vector_text, _ideal_pegs(n))
+    ValidationError at the call, before any line.  Each line is its branch's prefix
+    text, written once per branch, then a tail text (see ``_ideal_rows``)."""
+    return _ideal_rows(n, _entry_cells, "".join, "0")
 
 
 # --- state-graph search ------------------------------------------------------
@@ -617,7 +627,7 @@ def dot_ideal_lines(n: int, *, budget_states: int = DEFAULT_STATE_BUDGET) -> Ite
     def walk() -> Iterator[str]:
         yield "digraph ideal_tree {"
         yield "  node [shape=box];"
-        yield f'  s0 [label="{",".join("0" * (n + 1))}"];'
+        yield f'  s0 [label="{vector_text((0,) * (n + 1))}"];'
         stack = [(0, iter(on_a_win((0,) * (n + 1), 1)))]  # (node id, children left)
         last = 0
         while stack:

@@ -308,10 +308,18 @@ def test_ideal_state_lines_are_the_definition_in_order(n):
     assert list(ideal_state_lines(n)) == expected
 
 
-@pytest.mark.parametrize("n", [0, True])
+@pytest.mark.parametrize("n", [0, -1, True, "3", 2.0, None])
 def test_ideal_state_lines_refuse_a_bad_n_at_the_call(n):
     with pytest.raises(ValidationError):
         ideal_state_lines(n)
+
+
+def test_ideal_streams_start_without_a_permutation_table():
+    # n = 12 has about 2.6 billion states: a tail table sized by the
+    # permutations of the unused pegs would hang before the first one
+    first = (1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0)
+    assert next(ideal_state_lines(12)) == ",".join(map(str, first))
+    assert next(enumerate_ideal_states(12)).pegs == first
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

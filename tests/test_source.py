@@ -101,11 +101,29 @@ def test_private_names_shared_between_modules_are_pinned():
             "_check_scan_budget", "_count_reports", "_scan", "_doubled_peg", "_doubled"
         },
         "enumeration.py": {"_ideal_orbits"},
+        "hanoi.py": {"_entry_cells"},
     }
 
 
+def test_only_errors_spells_the_vector_separator():
+    # one writer of the vector grammar: no other module holds the literal ","
+    # (an f-string like f"{p}," holds it too), so no second spelling can drift
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == ","
+    ]
+    assert SOURCES and found == []
+
+
 @pytest.mark.parametrize(
-    "argv", [["verify", "--n", "3"], ["solve", "--n", "3"], ["map", "th2pf", "2,2,1,0"]]
+    "argv",
+    [
+        ["verify", "--n", "3"], ["solve", "--n", "3"], ["map", "th2pf", "2,2,1,0"],
+        ["enumerate", "ideal", "--n", "5"], ["solve", "--n", "3", "--dot"],
+    ],
 )
 def test_optimised_run_prints_the_same(argv):
     # ``python -O`` strips asserts, so a run under it must print the same
