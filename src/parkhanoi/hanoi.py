@@ -197,14 +197,19 @@ def _ideal_violation(x: tuple[int, ...]) -> str | int:
     two of the disks 0..n-1 and the others one each exactly when their
     pegs take n-1 distinct values.  The state is ideal exactly when these
     are 1..n-1, and the doubled peg j is their sum less 1 + ... + (n-1);
-    otherwise j is ``sum(low) - sum(pegs)``."""
+    otherwise j is ``sum(low) - sum(pegs)``.
+
+    Every entry of x must be a peg 0..n: each caller passes the pegs of a
+    ``HanoiState``, or ``bijection._to_pegs`` of a validated vector.  Then
+    n-1 distinct values are exactly the n-1 pegs 1..n-1 when neither 0 nor
+    n is among them, so two membership tests decide."""
     n = len(x) - 1
     if x[n] != 0:
         return f"the largest disk sits on peg {x[n]}, not alone on the source peg 0"
     low = x[:n]
     pegs = set(low)
     if len(pegs) == n - 1:
-        if min(pegs) == 1 and max(pegs) == n - 1:
+        if 0 not in pegs and n not in pegs:
             return sum(low) - n * (n - 1) // 2
         j = sum(low) - sum(pegs)
         if not 1 <= j <= n - 1:

@@ -2,9 +2,10 @@
 
 Deliberately simple and slow: these re-derive answers from the rules
 without touching the package internals, so agreement means something.
-``bijection_report_naive`` is the exception: it runs the package's
-enumerators and the maps it is given, so it certifies the report's
-bookkeeping, not the maps.
+``bijection_report_naive`` streams both families from their definitions
+(``ideal_states_lex`` and ``displacement_one_lex``) but runs the maps it
+is given, so it certifies the report's bookkeeping and the enumerators,
+not the maps.
 """
 
 from collections import Counter
@@ -13,7 +14,7 @@ from itertools import permutations, product
 from math import comb, factorial
 from typing import NamedTuple
 
-from parkhanoi import IdealLayerReport, enumerate_ideal_states, generate_displacement_one
+from parkhanoi import HanoiState, IdealLayerReport, PreferenceVector
 
 
 def park_naive(prefs):
@@ -61,9 +62,11 @@ def pf_with_displacement(n, d):
 def bijection_report_naive(n, th_to_pf, pf_to_th, scanned=None):
     """The fields of ``verify_bijection``'s report from two full passes over
     sets of map outputs, running every round trip both ways, with the image
-    compared to the set of vectors ``scanned`` unless it is None."""
-    states = list(enumerate_ideal_states(n))
-    vectors = list(generate_displacement_one(n))
+    compared to the set of vectors ``scanned`` unless it is None.  Both
+    families come from their definitions, typed for the maps, so a package
+    enumerator that drops or repeats an item disagrees with this report."""
+    states = [HanoiState(x) for x in ideal_states_lex(n)]
+    vectors = [PreferenceVector(a) for a in displacement_one_lex(n)]
     image = {th_to_pf(x) for x in states}
     return {
         "n": n,
@@ -128,6 +131,15 @@ def ideal_states_lex(n):
     0..n-1 on the interior pegs, each peg once and one peg j twice, and disk n
     on the source peg."""
     return sorted({(*p, 0) for j in range(1, n) for p in permutations((*range(1, n), j))})
+
+
+@cache  # the report oracle reads n = 3 and 4 once per planted fault
+def displacement_one_lex(n):
+    """Every displacement-one parking function in lexicographic order, from the
+    paper's shape: each ordering of 1..n with j+1 replaced by a second j, for
+    j = 1..n-1."""
+    shapes = ([j if v == j + 1 else v for v in range(1, n + 1)] for j in range(1, n))
+    return sorted({p for shape in shapes for p in permutations(shape)})
 
 
 def ideal_by_definition(vec):

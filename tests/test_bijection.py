@@ -292,7 +292,7 @@ def test_each_pair_is_mapped_once_each_way(watch, check, n, pairs):
     assert {name: len(c) for name, c in calls.items()} == {"_to_prefs": pairs, "_to_pegs": pairs}
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_a_passing_pass_builds_only_the_streamed_values(watch, n):
     # the pass maps entry tuples, so the only states and vectors it builds are
     # the ones the two public enumerators stream: 2 * lah(n), not 4 * lah(n)

@@ -32,7 +32,7 @@ from parkhanoi import (
     verify,
     verify_bijection,
 )
-from oracles import displacement_naive, pf_with_displacement
+from oracles import displacement_naive, displacement_one_lex, pf_with_displacement
 
 
 def test_enumerate_pf_small():
@@ -165,6 +165,12 @@ def test_partition_law_n6_single_scan():
     assert tally[0] == math.factorial(6)
     assert tally[1] == lah_count(6)
     assert max(tally) == 15 and tally[15] == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_constructive_generator_is_the_definition_in_order(n):
+    # the tails after the last four unused values come from a table; the order must not move
+    assert [p.prefs for p in generate_displacement_one(n)] == displacement_one_lex(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
