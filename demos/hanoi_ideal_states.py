@@ -9,9 +9,9 @@ doubled-up peg.  The search below confirms what makes them special.
 
 from parkhanoi import (
     enumerate_ideal_states,
-    ideal_witness,
     lah_count,
     legal_moves,
+    make_record,
     optimal_strategies_through_ideal,
     shortest_strategy,
     shortest_win_length,
@@ -29,8 +29,9 @@ def main():
 
     print(f"the game has {lah_count(n)} ideal states:")
     for state in enumerate_ideal_states(n):
-        w = ideal_witness(state)
-        print(f"\n{state.to_text()}   (disks {w.doubled_disks} share peg {w.doubled_peg})")
+        j = make_record(state).doubled_value
+        pair = tuple(d for d, p in enumerate(state.pegs) if p == j)
+        print(f"\n{state.to_text()}   (disks {pair} share peg {j})")
         print(render_state(state))
 
     print(f"\nminimum win for n={n}: {shortest_win_length(n)} moves (2n+3)")

@@ -51,7 +51,10 @@ class HanoiState:
     def __post_init__(self) -> None:
         pegs = self.pegs
         if type(pegs) is not tuple:
-            pegs = tuple(pegs)
+            try:
+                pegs = tuple(pegs)
+            except TypeError as exc:
+                raise ValidationError(f"pegs must be a sequence, got {pegs!r}") from exc
             object.__setattr__(self, "pegs", pegs)
         if len(pegs) < 3:
             raise ValidationError(f"a state needs at least 3 disks (n >= 2), got {len(pegs)}")
@@ -112,9 +115,6 @@ class HanoiMove:
         if self.from_peg == self.to_peg:
             raise ValidationError("a move must change pegs")
 
-    def reversed(self) -> "HanoiMove":
-        return HanoiMove(self.disk, self.to_peg, self.from_peg)
-
     def to_json_obj(self) -> dict[str, int]:
         return {"disk": self.disk, "from": self.from_peg, "to": self.to_peg}
 
@@ -171,7 +171,10 @@ class Strategy:
     states: tuple[HanoiState, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moves", tuple(self.moves))
+        try:
+            object.__setattr__(self, "moves", tuple(self.moves))
+        except TypeError as exc:
+            raise ValidationError(f"moves must be a sequence, got {self.moves!r}") from exc
         if not all(isinstance(move, HanoiMove) for move in self.moves):
             raise ValidationError("every move of a strategy must be a HanoiMove")
         states = accumulate(self.moves, apply_move, initial=starting_state(self.n))
@@ -227,46 +230,6 @@ def is_ideal_state(state: HanoiState | Sequence[int]) -> bool:
     return not isinstance(_ideal_violation(as_state(state).pegs), str)
 
 
-@dataclass(frozen=True)
-class IdealStateWitness:
-    """Canonical decomposition of an ideal state.
-
-    ``doubled_peg`` is the interior peg holding two disks,
-    ``doubled_disks`` the pair stacked there (any two distinct disks
-    among 0..n-1, disk 0 included), and ``singleton_assignment`` places
-    the remaining n-2 disks one-to-one onto the other interior pegs.
-    """
-
-    doubled_peg: int
-    doubled_disks: tuple[int, int]
-    singleton_assignment: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        try:
-            for name in ("doubled_disks", "singleton_assignment"):
-                object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
-            disks = [*self.doubled_disks, *(d for d, _ in self.singleton_assignment)]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("a witness needs a disk pair and (disk, peg) singles") from exc
-        if sorted(disks) != list(range(self.n)):
-            raise ValidationError("witness disks must be exactly 0..n-1, each once")
-        found = _ideal_violation(self.to_state().pegs)
-        if isinstance(found, str):
-            raise ValidationError(f"not an ideal state: {found}")
-
-    @property
-    def n(self) -> int:
-        return len(self.singleton_assignment) + 2
-
-    def to_state(self) -> HanoiState:
-        pegs = [0] * (self.n + 1)
-        for d in self.doubled_disks:
-            pegs[d] = self.doubled_peg
-        for d, p in self.singleton_assignment:
-            pegs[d] = p
-        return HanoiState(tuple(pegs))
-
-
 def _doubled_peg(x: tuple[int, ...]) -> int:
     """The doubled peg of the ideal state with pegs x; raises DomainError naming the first
     broken condition."""
@@ -274,20 +237,6 @@ def _doubled_peg(x: tuple[int, ...]) -> int:
     if isinstance(found, str):
         raise DomainError(f"not an ideal state: {found}")
     return found
-
-
-def ideal_witness(state: HanoiState | Sequence[int]) -> IdealStateWitness:
-    """Decompose an ideal state; raises DomainError naming the first broken condition.
-
-    ``_doubled_peg`` decides the state and gives j; the two disks on j form
-    the pair and the others the singles, so the witness's own check passes.
-    """
-    x = as_state(state).pegs
-    j = _doubled_peg(x)
-    x = x[:-1]
-    pair = tuple(d for d, p in enumerate(x) if p == j)
-    singles = tuple((d, p) for d, p in enumerate(x) if p != j)
-    return IdealStateWitness(j, pair, singles)
 
 
 def _ideal_rows(n: int, cells: Callable[[int], Any], join: Any, close: Any) -> Iterator[Any]:

@@ -30,7 +30,10 @@ class PreferenceVector:
     def __post_init__(self) -> None:
         prefs = self.prefs
         if type(prefs) is not tuple:
-            prefs = tuple(prefs)
+            try:
+                prefs = tuple(prefs)
+            except TypeError as exc:
+                raise ValidationError(f"preferences must be a sequence, got {prefs!r}") from exc
             object.__setattr__(self, "prefs", prefs)
         n = len(prefs)
         if n == 0:

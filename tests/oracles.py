@@ -125,6 +125,13 @@ def ideal_violation_naive(pegs):
     )
 
 
+def doubled_peg_naive(pegs):
+    """The peg that a Counter of the pegs of disks 0..n-1 counts twice."""
+    counts = Counter(pegs[:-1])
+    (j,) = [p for p, c in counts.items() if c == 2]
+    return j
+
+
 @cache  # two tests read it at n = 8, where it sorts 141,120 vectors
 def ideal_states_lex(n):
     """Every ideal state in lexicographic order, from the definition: disks

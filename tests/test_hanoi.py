@@ -17,7 +17,6 @@ from parkhanoi import (
     DomainError,
     HanoiMove,
     HanoiState,
-    IdealStateWitness,
     IllegalMoveError,
     Strategy,
     ValidationError,
@@ -26,7 +25,6 @@ from parkhanoi import (
     ending_state,
     enumerate_ideal_states,
     ideal_state_lines,
-    ideal_witness,
     is_ideal_state,
     lah_count,
     legal_moves,
@@ -86,6 +84,9 @@ def test_state_validation():
         HanoiState((0, 0, 4, 0))  # peg out of range
     with pytest.raises(ValidationError):
         HanoiState.from_text("0,zero,0,0")
+    for bad in [5, None]:  # not iterable
+        with pytest.raises(ValidationError):
+            HanoiState(bad)
     assert HanoiState.from_text("2,2,1,0").to_text() == "2,2,1,0"
 
 
@@ -184,7 +185,6 @@ def test_move_validation():
         HanoiMove(0, 1, 1)
     with pytest.raises(ValidationError):
         HanoiMove(-1, 0, 1)
-    assert HanoiMove(0, 1, 2).reversed() == HanoiMove(0, 2, 1)
     assert HanoiMove(0, 1, 2).to_json_obj() == {"disk": 0, "from": 1, "to": 2}
 
 
@@ -193,7 +193,7 @@ def test_every_move_is_reversible(vec):
     state = HanoiState(vec)
     for move in legal_moves(state):
         after = apply_move(state, move)
-        back = move.reversed()
+        back = HanoiMove(move.disk, move.to_peg, move.from_peg)
         assert back in legal_moves(after)
         assert apply_move(after, back) == state
 
@@ -209,74 +209,6 @@ def test_ideal_examples():
 def test_ideal_matches_positional_definition(n):
     for vec in product(range(n + 1), repeat=n + 1):
         assert is_ideal_state(vec) == ideal_by_definition(vec)
-
-
-def test_witness_round_trip():
-    for vec in IDEAL_N3:
-        witness = ideal_witness(vec)
-        assert witness.to_state().pegs == vec
-    w = ideal_witness((1, 2, 1, 0))
-    assert w.doubled_peg == 1
-    assert w.doubled_disks == (0, 2)  # disk 0 may be part of the pair
-    assert w.singleton_assignment == ((1, 2),)
-
-
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        (
-            (1, (0, 1), ((2, 1),)),
-            "not an ideal state: exactly one peg must hold exactly two of the disks 0..n-1",
-        ),
-        (
-            (3, (0, 1), ((2, 1),)),
-            "not an ideal state: the doubled peg is 3; it must be an interior peg (1..2)",
-        ),
-        (
-            (1, (0, 1), ((2, 2), (3, 4))),
-            "not an ideal state: the singly covered pegs are [2, 4]; they must be "
-            "exactly the other interior pegs [2, 3]",
-        ),
-        ((1, (0, 0), ((2, 2),)), "witness disks must be exactly 0..n-1, each once"),
-        ((1, (0, 1), ((3, 2),)), "witness disks must be exactly 0..n-1, each once"),
-    ],
-    ids=["tripled peg", "exterior peg", "uncovered peg", "repeated disk", "disk out of range"],
-)
-def test_witness_is_checked_as_its_state(fields, message):
-    # a directly built witness is checked by the ideal-state test of its state
-    with pytest.raises(ValidationError) as exc:
-        IdealStateWitness(*fields)
-    assert str(exc.value) == message
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [
-        (1, 5, ()),
-        (1, (0, 1), 5),
-        (1, (0, 1), ((2,),)),
-        (1, (0, 1), ((2, 1, 0),)),
-        (1, (0, 1), (2,)),
-    ],
-    ids=["pair not iterable", "singles not iterable", "short single", "long single", "int single"],
-)
-def test_witness_refuses_malformed_parts(fields):
-    with pytest.raises(ValidationError) as exc:
-        IdealStateWitness(*fields)
-    assert str(exc.value) == "a witness needs a disk pair and (disk, peg) singles"
-
-
-def test_witness_built_directly_equals_the_decomposition():
-    assert IdealStateWitness(2, (1, 0), ((2, 1),)) == ideal_witness((2, 2, 1, 0))
-
-
-def test_witness_rejects_non_ideal():
-    with pytest.raises(DomainError) as exc:
-        ideal_witness((0, 0, 0, 0))
-    assert "exactly two" in str(exc.value)
-    with pytest.raises(DomainError) as exc:
-        ideal_witness((1, 2, 3, 1))
-    assert "source peg" in str(exc.value)
 
 
 def test_enumerate_ideal_states_n3():
@@ -728,6 +660,8 @@ def test_strategy_validation():
         Strategy(2, (HanoiMove(0, 0, 3),))
     with pytest.raises(ValidationError):
         Strategy(1, ())
+    with pytest.raises(ValidationError):
+        Strategy(3, 5)  # moves not iterable
 
 
 def test_strategy_coerces_moves_and_refuses_raw_moves():

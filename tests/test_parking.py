@@ -85,7 +85,7 @@ def test_single_car():
 
 @pytest.mark.parametrize(
     "bad",
-    [(), (0, 1), (1, 3), (2,), (1, 1, 1, 5)],
+    [(), (0, 1), (1, 3), (2,), (1, 1, 1, 5), 5, None],
 )
 def test_validation_rejects_out_of_range(bad):
     with pytest.raises(ValidationError):

@@ -149,13 +149,13 @@ def test_public_surface_is_pinned():
     assert sorted(parkhanoi.__all__) == [
         "BijectionRecord", "BijectionReport", "BudgetExceededError", "CountReport",
         "DEFAULT_SCAN_MAX_N", "DEFAULT_STATE_BUDGET", "DomainError", "HanoiMove",
-        "HanoiState", "IdealLayerReport", "IdealStateWitness", "IllegalMoveError",
+        "HanoiState", "IdealLayerReport", "IllegalMoveError",
         "ParkingOutcome", "PreferenceVector", "Strategy", "ValidationError",
         "VerifyReport", "apply_move", "as_preference_vector", "as_state", "brute_force_counts",
         "cayley_count", "displacement", "displacement_one_violation", "dot_ideal_lines",
         "doubled_preference", "ending_state", "enumerate_ideal_states", "enumerate_pf",
         "enumerate_pf_displacement", "generate_displacement_one", "ideal_state_lines",
-        "ideal_witness", "is_displacement_one_characterized", "is_ideal_state", "is_parking_function",
+        "is_displacement_one_characterized", "is_ideal_state", "is_parking_function",
         "lah_count", "legal_moves", "make_record", "optimal_strategies_through_ideal",
         "park", "pf_to_th", "shortest_strategy", "shortest_win_length", "starting_state",
         "th_to_pf", "verify", "verify_bijection",
